@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -20,33 +21,9 @@ namespace serve {
 
 namespace {
 
-// Builds {"error": message} with a trailing newline (curl-friendly).
-HttpResponse JsonError(int status, std::string_view message) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("error");
-  writer.String(message);
-  writer.EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
-}
-
-// Maps a registry Status onto the admin API's HTTP vocabulary.
-int StatusToHttp(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kNotFound: return 404;
-    case StatusCode::kFailedPrecondition: return 409;  // name taken
-    case StatusCode::kOutOfRange: return 409;          // graph limit
-    default: return 400;
-  }
-}
-
-HttpResponse JsonError(const Status& status) {
-  return JsonError(StatusToHttp(status), status.message());
-}
+// The 400 message for a name IsValidGraphName rejects.
+constexpr char kGraphNameRule[] =
+    "graph name must be 1-64 chars of [A-Za-z0-9._-]";
 
 // Reads a required non-negative integer field.
 StatusOr<uint64_t> RequireIndex(const JsonValue& doc, std::string_view key) {
@@ -74,6 +51,28 @@ StatusOr<uint64_t> OptionalIndex(const JsonValue& doc, std::string_view key,
                                    "\": " + index.status().message());
   }
   return index;
+}
+
+// Reads an optional boolean field (absent = false). Any other JSON type
+// is an error naming the field: silently reading "swap":1 as false
+// would stage an update the client believes was published.
+StatusOr<bool> OptionalBool(const JsonValue& doc, std::string_view key) {
+  const JsonValue* field = doc.Find(key);
+  if (field == nullptr) return false;
+  if (!field->is_bool()) {
+    return Status::InvalidArgument("\"" + std::string(key) +
+                                   "\" must be a boolean");
+  }
+  return field->bool_value();
+}
+
+// Parses a request body that must be one JSON object.
+StatusOr<JsonValue> ParseObject(std::string_view body) {
+  auto doc = ParseJson(body);
+  if (doc.ok() && !doc->is_object()) {
+    return Status::InvalidArgument("request body must be a JSON object");
+  }
+  return doc;
 }
 
 void WriteTopEntries(JsonWriter* writer, const std::vector<double>& scores,
@@ -137,15 +136,17 @@ void WritePoolGauges(JsonWriter* writer, const TenantStats& stats) {
   writer->EndObject();
 }
 
-// Reads [[src,dst],...] into `updates` as `kind` entries. Pair entries
-// must be two-element arrays of valid node indices (range-checked
-// against the registry master later, where n is known).
-Status ReadEdgePairs(const JsonValue& field, EdgeUpdate::Kind kind,
+// Reads [[src,dst],...] into `updates` as `kind` entries (an absent
+// list reads as empty). Pair entries must be two-element arrays of
+// valid node indices (range-checked against the registry master later,
+// where n is known).
+Status ReadEdgePairs(const JsonValue* field, EdgeUpdate::Kind kind,
                      std::vector<EdgeUpdate>* updates) {
-  if (!field.is_array()) {
+  if (field == nullptr) return Status::OK();
+  if (!field->is_array()) {
     return Status::InvalidArgument("edge list must be an array of [src,dst]");
   }
-  for (const JsonValue& pair : field.array_items()) {
+  for (const JsonValue& pair : field->array_items()) {
     if (!pair.is_array() || pair.array_items().size() != 2) {
       return Status::InvalidArgument(
           "edge list entries must be [src,dst] pairs");
@@ -208,40 +209,33 @@ StatusOr<int64_t> ReadDeadlineMs(const JsonValue& doc,
 // 504/499 body: the error plus partial timing, so a client (or its
 // operator) can see how far past the budget the query got and which
 // generation it ran against.
-HttpResponse TimeoutError(int status, std::string_view message,
-                          double elapsed_ms, int64_t deadline_ms,
-                          std::string_view graph, uint64_t generation) {
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("error");
-  writer.String(message);
-  writer.Key("elapsed_ms");
-  writer.Double(elapsed_ms);
-  writer.Key("deadline_ms");
-  writer.Uint(deadline_ms > 0 ? static_cast<uint64_t>(deadline_ms) : 0);
-  writer.Key("graph");
-  writer.String(graph);
-  writer.Key("generation");
-  writer.Uint(generation);
-  writer.EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
+void WriteTimeout(JsonWriter* writer, std::string_view message,
+                  double elapsed_ms, int64_t deadline_ms,
+                  std::string_view graph, uint64_t generation) {
+  writer->BeginObject();
+  writer->Key("error");
+  writer->String(message);
+  writer->Key("elapsed_ms");
+  writer->Double(elapsed_ms);
+  writer->Key("deadline_ms");
+  writer->Uint(deadline_ms > 0 ? static_cast<uint64_t>(deadline_ms) : 0);
+  writer->Key("graph");
+  writer->String(graph);
+  writer->Key("generation");
+  writer->Uint(generation);
+  writer->EndObject();
 }
 
 // Reads the optional per-request "epsilon" override for /v1/query and
-// /v1/topk. Absent → *has_override stays false. Present → must be a
-// finite number in (0,1) and at least `min_epsilon` (the override is
+// /v1/topk (absent → no override). Present → must be a finite number
+// in (0,1) and at least `min_epsilon` (the override is
 // network-controlled, and query cost explodes as ε shrinks); any
 // violation is an error naming the field, so it surfaces as a 400 at
 // the HTTP boundary rather than a per-query engine error.
-Status ReadEpsilonOverride(const JsonValue& doc, double min_epsilon,
-                           bool* has_override, double* epsilon) {
-  *has_override = false;
+StatusOr<std::optional<double>> ReadEpsilonOverride(const JsonValue& doc,
+                                                    double min_epsilon) {
   const JsonValue* field = doc.Find("epsilon");
-  if (field == nullptr) return Status::OK();
+  if (field == nullptr) return std::optional<double>();
   auto value = field->AsDouble();
   if (!value.ok()) {
     return Status::InvalidArgument("\"epsilon\": " +
@@ -251,9 +245,7 @@ Status ReadEpsilonOverride(const JsonValue& doc, double min_epsilon,
     return Status::InvalidArgument("\"epsilon\" must be in (0,1)");
   }
   SIMPUSH_RETURN_NOT_OK(CheckEpsilonFloor(*value, min_epsilon, "epsilon"));
-  *has_override = true;
-  *epsilon = *value;
-  return Status::OK();
+  return std::optional<double>(*value);
 }
 
 // Parses the optional "options" object of POST /v1/graphs into
@@ -499,50 +491,35 @@ std::shared_ptr<SimPushService::TenantMetrics> SimPushService::FindMetrics(
   return it == tenant_metrics_.end() ? nullptr : it->second;
 }
 
-Status SimPushService::RunOnGeneration(const GraphGeneration& generation,
-                                       NodeId u, SimPushResult* result,
-                                       const CancelToken* cancel) {
-  // Lease one pooled workspace for this query; construction blocks
-  // while all `pool_capacity` workspaces are in flight, which is the
-  // backpressure that bounds query-scratch memory under load (a fired
-  // `cancel` unblocks the wait). The caller's generation lease is what
-  // a hot swap can never invalidate.
-  QueryRunner runner(generation.core(), generation.workspaces(), cancel);
-  const Status status = runner.QueryInto(u, result);
-  AccumulateEngineTotals(runner.totals());
-  return status;
+// Maps a registry Status onto the admin API's HTTP vocabulary.
+SimPushService::HttpError SimPushService::HttpError::FromRegistry(
+    const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kNotFound: return {404, status.message()};
+    case StatusCode::kFailedPrecondition:  // Name taken.
+    case StatusCode::kOutOfRange:          // Graph limit.
+      return {409, status.message()};
+    default: return {400, status.message()};
+  }
 }
 
-Status SimPushService::RunWithEpsilonOverride(
-    const GraphGeneration& generation, NodeId u, double epsilon,
-    SimPushResult* result, const CancelToken* cancel) {
-  // The AdaptiveTopK per-round-core pattern: derived parameters are
-  // cheap to recompute, so an override query builds a throwaway core
-  // for its ε over the leased generation's graph. It deliberately does
-  // NOT touch the generation's workspace pool — a private workspace
-  // keeps override traffic from competing for (or resizing) the pooled
-  // scratch that serves the tenant's configured-ε hot path.
-  SimPushOptions round_options = generation.core().options();
-  round_options.epsilon = epsilon;
-  EngineCore core(generation.graph(), round_options);
-  SIMPUSH_RETURN_NOT_OK(core.options_status());
-  QueryWorkspace workspace;
-  QueryRunner runner(core, &workspace);
-  runner.set_cancellation(cancel);
-  const Status status = runner.QueryInto(u, result);
-  AccumulateEngineTotals(runner.totals());
-  return status;
-}
+// One parsed /v1/query, /v1/topk or /v1/batch request: everything the
+// execute and finish steps need, read from the body exactly once.
+struct SimPushService::QueryRequest {
+  Endpoint endpoint = Endpoint::kQuery;
+  std::string graph_name;
+  GenerationLease lease;
+  std::vector<NodeId> nodes;      // The source, or the batch in order.
+  uint64_t k = 0;                 // Top-k size; 0 = full score vector.
+  bool with_stats = false;        // /v1/query only.
+  int64_t deadline_ms = 0;        // 0 = no deadline.
+  std::optional<double> epsilon;  // Per-request ε override.
+};
 
-StatusOr<double> SimPushService::RunQueryRequest(
-    const JsonValue& doc, const GraphGeneration& generation, NodeId u,
-    SimPushResult* result, const CancelToken* cancel,
-    bool* served_from_cache) {
-  if (served_from_cache != nullptr) *served_from_cache = false;
-  bool has_override = false;
-  double override_epsilon = 0.0;
-  SIMPUSH_RETURN_NOT_OK(ReadEpsilonOverride(
-      doc, options_.min_request_epsilon, &has_override, &override_epsilon));
+StatusOr<bool> SimPushService::RunSingleSource(
+    const GraphGeneration& generation, NodeId u,
+    std::optional<double> epsilon, const CancelToken* cancel,
+    SimPushResult* result) {
   // Cache key: the fingerprint of the MERGED effective options. With
   // no override this is the generation's precomputed fingerprint; an
   // override re-fingerprints the tenant options with the request's ε,
@@ -552,66 +529,50 @@ StatusOr<double> SimPushService::RunQueryRequest(
   // function of (generation, effective options, node), independent of
   // which execution path would have computed them.
   ResultCache* const cache = generation.cache();
-  uint64_t fingerprint = generation.options_fingerprint();
-  if (has_override) {
-    SimPushOptions merged = generation.core().options();
-    merged.epsilon = override_epsilon;
-    fingerprint = OptionsFingerprint(merged);
+  SimPushOptions merged = generation.core().options();
+  if (epsilon.has_value()) merged.epsilon = *epsilon;
+  const uint64_t fingerprint = epsilon.has_value()
+                                   ? OptionsFingerprint(merged)
+                                   : generation.options_fingerprint();
+  if (cache != nullptr && cache->Get(u, fingerprint, result)) return true;
+  Status status;
+  if (!epsilon.has_value()) {
+    // Lease one pooled workspace for this query; construction blocks
+    // while all `pool_capacity` workspaces are in flight, which is the
+    // backpressure that bounds query-scratch memory under load (a fired
+    // `cancel` unblocks the wait). The caller's generation lease is
+    // what a hot swap can never invalidate.
+    QueryRunner runner(generation.core(), generation.workspaces(), cancel);
+    status = runner.QueryInto(u, result);
+    AccumulateEngineTotals(runner.totals());
+  } else {
+    // The AdaptiveTopK per-round-core pattern: derived parameters are
+    // cheap to recompute, so an override query builds a throwaway core
+    // for its ε over the leased generation's graph. It deliberately
+    // does NOT touch the generation's workspace pool — a private
+    // workspace keeps override traffic from competing for (or
+    // resizing) the pooled scratch that serves the tenant's
+    // configured-ε hot path.
+    EngineCore core(generation.graph(), merged);
+    SIMPUSH_RETURN_NOT_OK(core.options_status());
+    QueryWorkspace workspace;
+    QueryRunner runner(core, &workspace);
+    runner.set_cancellation(cancel);
+    status = runner.QueryInto(u, result);
+    AccumulateEngineTotals(runner.totals());
   }
-  const double effective_epsilon =
-      has_override ? override_epsilon : generation.core().options().epsilon;
-  if (cache != nullptr && cache->Get(u, fingerprint, result)) {
-    if (served_from_cache != nullptr) *served_from_cache = true;
-    return effective_epsilon;
-  }
-  SIMPUSH_RETURN_NOT_OK(has_override
-                            ? RunWithEpsilonOverride(generation, u,
-                                                     override_epsilon, result,
-                                                     cancel)
-                            : RunOnGeneration(generation, u, result, cancel));
+  SIMPUSH_RETURN_NOT_OK(status);
   // Best-effort: a rejected insert (budget, admission duel, injected
   // failure) just means this computed answer is served uncached.
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
-  return effective_epsilon;
-}
-
-HttpResponse SimPushService::QueryErrorResponse(
-    const Status& status, double elapsed_ms, int64_t deadline_ms,
-    std::string_view graph_name, uint64_t generation,
-    const std::shared_ptr<TenantMetrics>& metrics) {
-  // kCancelled beats kDeadlineExceeded in CancelToken::Check, so a
-  // request that was BOTH late and abandoned counts as abandoned — the
-  // 499 is best-effort (nobody is reading it), but the counter is the
-  // operator's signal that clients are hanging up, not timing out.
-  if (status.code() == StatusCode::kCancelled) {
-    client_abandoned_.fetch_add(1);
-    if (metrics != nullptr) metrics->client_abandoned.fetch_add(1);
-    return TimeoutError(499, "client closed request", elapsed_ms,
-                        deadline_ms, graph_name, generation);
-  }
-  if (status.code() == StatusCode::kDeadlineExceeded) {
-    deadline_expired_.fetch_add(1);
-    if (metrics != nullptr) metrics->deadline_expired.fetch_add(1);
-    return TimeoutError(504, "deadline exceeded", elapsed_ms, deadline_ms,
-                        graph_name, generation);
-  }
-  bad_requests_.fetch_add(1);
-  return JsonError(400, status.message());
+  return false;
 }
 
 Status SimPushService::RunQuery(std::string_view graph_name, NodeId u,
                                 SimPushResult* result) {
   auto lease = registry_.Lease(graph_name);
   if (!lease.ok()) return lease.status();
-  const GraphGeneration& generation = **lease;
-  ResultCache* const cache = generation.cache();
-  const uint64_t fingerprint = generation.options_fingerprint();
-  if (cache != nullptr && cache->Get(u, fingerprint, result)) {
-    return Status::OK();
-  }
-  SIMPUSH_RETURN_NOT_OK(RunOnGeneration(generation, u, result));
-  if (cache != nullptr) cache->Insert(u, fingerprint, *result);
-  return Status::OK();
+  return RunSingleSource(**lease, u, std::nullopt, nullptr, result).status();
 }
 
 Status SimPushService::RunQuery(NodeId u, SimPushResult* result) {
@@ -638,248 +599,207 @@ StatusOr<GenerationLease> SimPushService::LeaseFor(const JsonValue& doc,
 }
 
 HttpResponse SimPushService::HandleQuery(const HttpRequest& request) {
-  Timer wall;
-  auto doc = ParseJson(request.body);
-  if (!doc.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.status().message());
-  }
-  if (!doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "request body must be a JSON object");
-  }
-  auto node = RequireIndex(*doc, "node");
-  auto top_k = OptionalIndex(*doc, "top_k", 0);  // 0 = full score vector.
-  if (!node.ok() || !top_k.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(
-        400, (!node.ok() ? node.status() : top_k.status()).message());
-  }
-  std::string graph_name;
-  auto lease = LeaseFor(*doc, &graph_name);
-  if (!lease.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(lease.status());
-  }
-  const Graph& graph = (*lease)->graph();
-  // Range-check before narrowing to NodeId — a 64-bit id must not wrap
-  // into a valid node and silently answer for the wrong vertex.
-  if (*node >= graph.num_nodes()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "node " + std::to_string(*node) +
-                              " out of range [0, " +
-                              std::to_string(graph.num_nodes()) + ")");
-  }
-  bool with_stats = false;
-  if (const JsonValue* field = doc->Find("with_stats")) {
-    with_stats = field->is_bool() && field->bool_value();
-  }
-  const auto deadline_ms = ReadDeadlineMs(*doc, options_);
-  if (!deadline_ms.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, deadline_ms.status().message());
-  }
-  // Token before guard: the guard must die first (it unregisters the
-  // raw token pointer from the watcher's poll set).
-  CancelToken token(Deadline::After(*deadline_ms));
-  const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(graph_name);
-  // Reused per HTTP worker thread: after warm-up the query path below
-  // performs zero heap allocations (see serve_test's alloc-hook check).
-  // Override requests run off this hot path by design (fresh core +
-  // private workspace) and may allocate.
-  static thread_local SimPushResult result;
-  bool cached = false;
-  const StatusOr<double> effective_epsilon = RunQueryRequest(
-      *doc, **lease, static_cast<NodeId>(*node), &result, &token, &cached);
-  if (!effective_epsilon.ok()) {
-    return QueryErrorResponse(effective_epsilon.status(),
-                              wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                              graph_name, (*lease)->id(), metrics);
-  }
-  query_requests_.fetch_add(1);
-  nodes_scored_.fetch_add(1);
-  if (metrics != nullptr) {
-    metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(1);
-  }
-
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("node");
-  writer.Uint(*node);
-  writer.Key("graph");
-  writer.String(graph_name);
-  writer.Key("generation");
-  writer.Uint((*lease)->id());
-  // The ε that actually produced these scores: request override >
-  // tenant options (never the process-wide default).
-  writer.Key("epsilon");
-  writer.Double(*effective_epsilon);
-  // Stamped only when served from the result cache; the scores are
-  // byte-identical to a computed response either way.
-  if (cached) {
-    writer.Key("cached");
-    writer.Bool(true);
-  }
-  if (*top_k > 0) {
-    writer.Key("top");
-    WriteTopEntries(&writer, result.scores, *top_k,
-                    static_cast<NodeId>(*node));
-  } else {
-    writer.Key("scores");
-    writer.BeginArray();
-    for (const double score : result.scores) writer.Double(score);
-    writer.EndArray();
-  }
-  if (with_stats) {
-    writer.Key("stats");
-    WriteQueryStats(&writer, result.stats);
-  }
-  writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  RecordLatency(metrics, wall.ElapsedSeconds());
-  return response;
+  return ServeQuery(Endpoint::kQuery, request);
 }
 
 HttpResponse SimPushService::HandleTopK(const HttpRequest& request) {
+  return ServeQuery(Endpoint::kTopK, request);
+}
+
+HttpResponse SimPushService::HandleBatch(const HttpRequest& request) {
+  return ServeQuery(Endpoint::kBatch, request);
+}
+
+HttpResponse SimPushService::ServeQuery(Endpoint endpoint,
+                                        const HttpRequest& request) {
   Timer wall;
-  auto doc = ParseJson(request.body);
-  if (!doc.ok() || !doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                   : doc.status().message());
+  JsonWriter writer;
+  QueryRequest query;
+  query.endpoint = endpoint;
+  if (const MaybeError error = ParseQueryRequest(request.body, &query)) {
+    return Finish(error, &writer);
   }
-  auto node = RequireIndex(*doc, "node");
-  auto k = OptionalIndex(*doc, "k", 10);
-  if (!node.ok() || !k.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, (!node.ok() ? node.status() : k.status()).message());
-  }
-  std::string graph_name;
-  auto lease = LeaseFor(*doc, &graph_name);
-  if (!lease.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(lease.status());
-  }
-  const Graph& graph = (*lease)->graph();
-  if (*node >= graph.num_nodes()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "node " + std::to_string(*node) +
-                              " out of range [0, " +
-                              std::to_string(graph.num_nodes()) + ")");
-  }
-
-  const auto deadline_ms = ReadDeadlineMs(*doc, options_);
-  if (!deadline_ms.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, deadline_ms.status().message());
-  }
-  CancelToken token(Deadline::After(*deadline_ms));
+  // Token before guard: the guard must die first (it unregisters the
+  // raw token pointer from the watcher's poll set).
+  CancelToken token(Deadline::After(query.deadline_ms));
   const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(graph_name);
+  const auto metrics = FindMetrics(query.graph_name);
 
-  // Same reused-buffer hot path as /v1/query: QueryTopK would allocate
-  // a fresh O(n) score vector per request, and WriteTopEntries selects
-  // the identical entries (self and zero scores excluded, ties to the
-  // smaller id).
-  static thread_local SimPushResult result;
-  bool cached = false;
-  const StatusOr<double> effective_epsilon = RunQueryRequest(
-      *doc, **lease, static_cast<NodeId>(*node), &result, &token, &cached);
-  if (!effective_epsilon.ok()) {
-    return QueryErrorResponse(effective_epsilon.status(),
-                              wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                              graph_name, (*lease)->id(), metrics);
+  const Status status = endpoint == Endpoint::kBatch
+                            ? ExecuteBatch(query, &token, &writer)
+                            : ExecuteSingle(query, &token, &writer);
+
+  // kCancelled beats kDeadlineExceeded in CancelToken::Check, so a
+  // request that was BOTH late and abandoned counts as abandoned — the
+  // 499 is best-effort (nobody is reading it), but the counter is the
+  // operator's signal that clients are hanging up, not timing out.
+  const bool abandoned = status.code() == StatusCode::kCancelled;
+  if (abandoned || status.code() == StatusCode::kDeadlineExceeded) {
+    (abandoned ? client_abandoned_ : deadline_expired_).fetch_add(1);
+    if (metrics != nullptr) {
+      (abandoned ? metrics->client_abandoned : metrics->deadline_expired)
+          .fetch_add(1);
+    }
+    WriteTimeout(&writer,
+                 abandoned ? "client closed request" : "deadline exceeded",
+                 wall.ElapsedSeconds() * 1e3, query.deadline_ms,
+                 query.graph_name, query.lease->id());
+    return Finish(std::nullopt, &writer, abandoned ? 499 : 504);
   }
-  topk_requests_.fetch_add(1);
-  nodes_scored_.fetch_add(1);
+  if (!status.ok()) {
+    // A batch engine error names its status code ("InvalidArgument:
+    // ..."); a single-source one carries only the message.
+    return Finish(HttpError{400, endpoint == Endpoint::kBatch
+                                     ? status.ToString()
+                                     : status.message()},
+                  &writer);
+  }
+  (endpoint == Endpoint::kQuery  ? query_requests_
+   : endpoint == Endpoint::kTopK ? topk_requests_
+                                 : batch_requests_)
+      .fetch_add(1);
+  nodes_scored_.fetch_add(query.nodes.size());
   if (metrics != nullptr) {
     metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(1);
+    metrics->nodes_scored.fetch_add(query.nodes.size());
   }
-
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("node");
-  writer.Uint(*node);
-  writer.Key("graph");
-  writer.String(graph_name);
-  writer.Key("generation");
-  writer.Uint((*lease)->id());
-  writer.Key("epsilon");
-  writer.Double(*effective_epsilon);
-  if (cached) {
-    writer.Key("cached");
-    writer.Bool(true);
-  }
-  writer.Key("k");
-  writer.Uint(*k);
-  writer.Key("top");
-  WriteTopEntries(&writer, result.scores, *k, static_cast<NodeId>(*node));
-  writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
+  HttpResponse response = Finish(std::nullopt, &writer);
   RecordLatency(metrics, wall.ElapsedSeconds());
   return response;
 }
 
-HttpResponse SimPushService::HandleBatch(const HttpRequest& request) {
-  Timer wall;
-  auto doc = ParseJson(request.body);
-  if (!doc.ok() || !doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                   : doc.status().message());
+// Checks run in a fixed order — body, node(s), k, tenant, node range,
+// with_stats, deadline, ε — so the first fault in a request decides its
+// status and message (serve_test's golden reject table pins it).
+SimPushService::MaybeError SimPushService::ParseQueryRequest(
+    const std::string& body, QueryRequest* query) {
+  const auto doc = ParseObject(body);
+  if (!doc.ok()) return HttpError{400, doc.status().message()};
+  const bool batch = query->endpoint == Endpoint::kBatch;
+  const JsonValue* nodes = doc->Find("nodes");
+  if (batch && (nodes == nullptr || !nodes->is_array())) {
+    return HttpError{400, "missing \"nodes\" array"};
   }
-  const JsonValue* nodes_field = doc->Find("nodes");
-  if (nodes_field == nullptr || !nodes_field->is_array()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "missing \"nodes\" array");
+  if (batch && nodes->array_items().size() > options_.max_batch_nodes) {
+    return HttpError{413, "batch exceeds max_batch_nodes (" +
+                              std::to_string(options_.max_batch_nodes) +
+                              ")"};
   }
-  if (nodes_field->array_items().size() > options_.max_batch_nodes) {
-    bad_requests_.fetch_add(1);
-    return JsonError(413, "batch exceeds max_batch_nodes (" +
-                              std::to_string(options_.max_batch_nodes) + ")");
+  uint64_t node = 0;
+  if (!batch) {
+    const auto required = RequireIndex(*doc, "node");
+    if (!required.ok()) return HttpError{400, required.status().message()};
+    node = *required;
   }
-  auto k = OptionalIndex(*doc, "k", 10);
-  if (!k.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, k.status().message());
-  }
-  std::string graph_name;
-  auto lease = LeaseFor(*doc, &graph_name);
+  // /v1/query sends the full score vector unless "top_k" asks for a
+  // prefix; the top-k endpoints default to k = 10.
+  const auto k = query->endpoint == Endpoint::kQuery
+                     ? OptionalIndex(*doc, "top_k", 0)
+                     : OptionalIndex(*doc, "k", 10);
+  if (!k.ok()) return HttpError{400, k.status().message()};
+  query->k = *k;
+  auto lease = LeaseFor(*doc, &query->graph_name);
   if (!lease.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(lease.status());
+    return HttpError::FromRegistry(lease.status());
   }
-  const Graph& graph = (*lease)->graph();
-  std::vector<NodeId> nodes;
-  nodes.reserve(nodes_field->array_items().size());
-  for (const JsonValue& item : nodes_field->array_items()) {
-    auto node = item.AsIndex();
-    if (!node.ok() || *node >= graph.num_nodes()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, "\"nodes\" entries must be node ids in [0, " +
-                                std::to_string(graph.num_nodes()) + ")");
+  query->lease = *std::move(lease);
+  const uint64_t n = query->lease->graph().num_nodes();
+  if (batch) {
+    query->nodes.reserve(nodes->array_items().size());
+    for (const JsonValue& item : nodes->array_items()) {
+      const auto id = item.AsIndex();
+      if (!id.ok() || *id >= n) {
+        return HttpError{400, "\"nodes\" entries must be node ids in [0, " +
+                                  std::to_string(n) + ")"};
+      }
+      query->nodes.push_back(static_cast<NodeId>(*id));
     }
-    nodes.push_back(static_cast<NodeId>(*node));
+  } else if (node >= n) {
+    // Range-check before narrowing to NodeId — a 64-bit id must not
+    // wrap into a valid node and silently answer for the wrong vertex.
+    return HttpError{400, "node " + std::to_string(node) +
+                              " out of range [0, " + std::to_string(n) +
+                              ")"};
+  } else {
+    query->nodes.push_back(static_cast<NodeId>(node));
   }
-
+  if (query->endpoint == Endpoint::kQuery) {
+    const auto with_stats = OptionalBool(*doc, "with_stats");
+    if (!with_stats.ok()) {
+      return HttpError{400, with_stats.status().message()};
+    }
+    query->with_stats = *with_stats;
+  }
   const auto deadline_ms = ReadDeadlineMs(*doc, options_);
-  if (!deadline_ms.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, deadline_ms.status().message());
-  }
-  CancelToken token(Deadline::After(*deadline_ms));
-  const auto watch = watcher_.Watch(request.client_fd, &token);
-  const auto metrics = FindMetrics(graph_name);
+  if (!deadline_ms.ok()) return HttpError{400, deadline_ms.status().message()};
+  query->deadline_ms = *deadline_ms;
+  if (batch) return std::nullopt;  // /v1/batch runs at the tenant's ε.
+  const auto epsilon = ReadEpsilonOverride(*doc, options_.min_request_epsilon);
+  if (!epsilon.ok()) return HttpError{400, epsilon.status().message()};
+  query->epsilon = *epsilon;
+  return std::nullopt;
+}
 
+Status SimPushService::ExecuteSingle(const QueryRequest& query,
+                                     const CancelToken* cancel,
+                                     JsonWriter* writer) {
+  // Reused per HTTP worker thread: after warm-up the query path below
+  // performs zero heap allocations (see serve_test's alloc-hook check).
+  // Override requests run off this hot path by design (fresh core +
+  // private workspace) and may allocate. QueryTopK would allocate a
+  // fresh O(n) score vector per request, and WriteTopEntries selects
+  // the identical entries (self and zero scores excluded, ties to the
+  // smaller id).
+  static thread_local SimPushResult result;
+  const GraphGeneration& generation = *query.lease;
+  const NodeId u = query.nodes[0];
+  const StatusOr<bool> cached =
+      RunSingleSource(generation, u, query.epsilon, cancel, &result);
+  if (!cached.ok()) return cached.status();
+
+  writer->BeginObject();
+  writer->Key("node");
+  writer->Uint(u);
+  writer->Key("graph");
+  writer->String(query.graph_name);
+  writer->Key("generation");
+  writer->Uint(generation.id());
+  // The ε that actually produced these scores: request override >
+  // tenant options (never the process-wide default).
+  writer->Key("epsilon");
+  writer->Double(query.epsilon.value_or(generation.core().options().epsilon));
+  // Stamped only when served from the result cache; the scores are
+  // byte-identical to a computed response either way.
+  if (*cached) {
+    writer->Key("cached");
+    writer->Bool(true);
+  }
+  const bool topk = query.endpoint == Endpoint::kTopK;
+  if (topk) {
+    writer->Key("k");
+    writer->Uint(query.k);
+  }
+  if (topk || query.k > 0) {
+    writer->Key("top");
+    WriteTopEntries(writer, result.scores, query.k, u);
+  } else {
+    writer->Key("scores");
+    writer->BeginArray();
+    for (const double score : result.scores) writer->Double(score);
+    writer->EndArray();
+  }
+  if (query.with_stats) {
+    writer->Key("stats");
+    WriteQueryStats(writer, result.stats);
+  }
+  writer->EndObject();
+  return Status::OK();
+}
+
+Status SimPushService::ExecuteBatch(const QueryRequest& query,
+                                    const CancelToken* cancel,
+                                    JsonWriter* writer) {
+  const std::vector<NodeId>& nodes = query.nodes;
   // Deduplicate repeated sources: each distinct node is scored once
   // and its result fanned back to every position that asked for it —
   // sound for the same reason the cache is (scores are a pure function
@@ -907,70 +827,67 @@ HttpResponse SimPushService::HandleBatch(const HttpRequest& request) {
   // inside each query's push loops.
   ParallelBatchStats batch_stats;
   auto results = ParallelQueryBatchTopK(
-      (*lease)->core(), registry_.thread_pool(), (*lease)->workspaces(),
-      unique_nodes, *k, &batch_stats, &token);
-  if (!results.ok()) {
-    if (results.status().code() == StatusCode::kCancelled ||
-        results.status().code() == StatusCode::kDeadlineExceeded) {
-      return QueryErrorResponse(results.status(),
-                                wall.ElapsedSeconds() * 1e3, *deadline_ms,
-                                graph_name, (*lease)->id(), metrics);
-    }
-    bad_requests_.fetch_add(1);
-    return JsonError(400, results.status().ToString());
-  }
-  batch_requests_.fetch_add(1);
-  nodes_scored_.fetch_add(nodes.size());
-  if (metrics != nullptr) {
-    metrics->requests.fetch_add(1);
-    metrics->nodes_scored.fetch_add(nodes.size());
-  }
+      query.lease->core(), registry_.thread_pool(), query.lease->workspaces(),
+      unique_nodes, query.k, &batch_stats, cancel);
+  if (!results.ok()) return results.status();
   engine_query_nanos_.fetch_add(
       static_cast<uint64_t>(batch_stats.cpu_query_seconds * 1e9));
 
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("graph");
-  writer.String(graph_name);
-  writer.Key("generation");
-  writer.Uint((*lease)->id());
-  writer.Key("k");
-  writer.Uint(*k);
-  writer.Key("wall_ms");
-  writer.Double(batch_stats.wall_seconds * 1e3);
+  writer->BeginObject();
+  writer->Key("graph");
+  writer->String(query.graph_name);
+  writer->Key("generation");
+  writer->Uint(query.lease->id());
+  writer->Key("k");
+  writer->Uint(query.k);
+  writer->Key("wall_ms");
+  writer->Double(batch_stats.wall_seconds * 1e3);
   // How much the dedup saved is visible per response: M ≤ N distinct
   // sources were actually scored for the N requested positions.
-  writer.Key("nodes");
-  writer.Uint(nodes.size());
-  writer.Key("unique_nodes");
-  writer.Uint(unique_nodes.size());
-  writer.Key("results");
-  writer.BeginArray();
+  writer->Key("nodes");
+  writer->Uint(nodes.size());
+  writer->Key("unique_nodes");
+  writer->Uint(unique_nodes.size());
+  writer->Key("results");
+  writer->BeginArray();
   for (size_t i = 0; i < nodes.size(); ++i) {
     const BatchTopKResult& result = (*results)[slot[i]];
-    writer.BeginObject();
-    writer.Key("node");
-    writer.Uint(result.query);
-    writer.Key("top");
-    writer.BeginArray();
+    writer->BeginObject();
+    writer->Key("node");
+    writer->Uint(result.query);
+    writer->Key("top");
+    writer->BeginArray();
     for (const auto& [v, score] : result.topk) {
-      writer.BeginObject();
-      writer.Key("node");
-      writer.Uint(v);
-      writer.Key("score");
-      writer.Double(score);
-      writer.EndObject();
+      writer->BeginObject();
+      writer->Key("node");
+      writer->Uint(v);
+      writer->Key("score");
+      writer->Double(score);
+      writer->EndObject();
     }
-    writer.EndArray();
-    writer.EndObject();
+    writer->EndArray();
+    writer->EndObject();
   }
-  writer.EndArray();
-  writer.EndObject();
+  writer->EndArray();
+  writer->EndObject();
+  return Status::OK();
+}
 
+HttpResponse SimPushService::Finish(const MaybeError& error,
+                                    JsonWriter* writer, int status) {
+  if (error.has_value()) {
+    bad_requests_.fetch_add(1);
+    status = error->status;
+    writer->Reset();
+    writer->BeginObject();
+    writer->Key("error");
+    writer->String(error->message);
+    writer->EndObject();
+  }
   HttpResponse response;
-  response.body = writer.Take();
+  response.status = status;
+  response.body = writer->Take();
   response.body.push_back('\n');
-  RecordLatency(metrics, wall.ElapsedSeconds());
   return response;
 }
 
@@ -1156,33 +1073,24 @@ HttpResponse SimPushService::HandleStats(const HttpRequest&) {
   writer.EndObject();
   writer.EndObject();
 
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
+  return Finish(std::nullopt, &writer);
 }
 
 HttpResponse SimPushService::HandleHealth(const HttpRequest&) {
   // A failed default-graph install must fail the liveness probe: a
   // server whose configured graph never loaded should be restarted (or
   // repaired over /v1/graphs), not kept in a load balancer rotation.
-  if (const Status startup = startup_status(); !startup.ok()) {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("status");
-    writer.String("unavailable");
+  const Status startup = startup_status();
+  JsonWriter writer;
+  writer.BeginObject();
+  writer.Key("status");
+  writer.String(startup.ok() ? "ok" : "unavailable");
+  if (!startup.ok()) {
     writer.Key("error");
     writer.String(startup.ToString());
-    writer.EndObject();
-    HttpResponse response;
-    response.status = 503;
-    response.body = writer.Take();
-    response.body.push_back('\n');
-    return response;
   }
-  HttpResponse response;
-  response.body = "{\"status\":\"ok\"}\n";
-  return response;
+  writer.EndObject();
+  return Finish(std::nullopt, &writer, startup.ok() ? 200 : 503);
 }
 
 HttpResponse SimPushService::HandleGraphList(const HttpRequest&) {
@@ -1214,38 +1122,33 @@ HttpResponse SimPushService::HandleGraphList(const HttpRequest&) {
   writer.String(options_.default_graph);
   writer.EndObject();
 
-  HttpResponse response;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
+  return Finish(std::nullopt, &writer);
 }
 
 HttpResponse SimPushService::HandleGraphCreate(const HttpRequest& request) {
   admin_requests_.fetch_add(1);
-  auto doc = ParseJson(request.body);
-  if (!doc.ok() || !doc->is_object()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                   : doc.status().message());
-  }
+  JsonWriter writer;
+  const MaybeError error = CreateGraph(request, &writer);
+  return Finish(error, &writer, 201);
+}
+
+SimPushService::MaybeError SimPushService::CreateGraph(
+    const HttpRequest& request, JsonWriter* writer) {
+  const auto doc = ParseObject(request.body);
+  if (!doc.ok()) return HttpError{400, doc.status().message()};
   const JsonValue* name_field = doc->Find("name");
   if (name_field == nullptr || !name_field->is_string()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "missing \"name\" string field");
+    return HttpError{400, "missing \"name\" string field"};
   }
   const std::string& name = name_field->string_value();
-  if (!IsValidGraphName(name)) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "graph name must be 1-64 chars of [A-Za-z0-9._-]");
-  }
+  if (!IsValidGraphName(name)) return HttpError{400, kGraphNameRule};
   // Per-tenant engine options: unspecified fields inherit the process
   // defaults; validation failures 400 before any graph is built.
   SimPushOptions tenant_options = options_.query;
   if (const Status parsed = ReadTenantOptions(
           *doc, options_.min_request_epsilon, &tenant_options);
       !parsed.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, parsed.message());
+    return HttpError{400, parsed.message()};
   }
 
   const JsonValue* path_field = doc->Find("path");
@@ -1254,80 +1157,68 @@ HttpResponse SimPushService::HandleGraphCreate(const HttpRequest& request) {
       "provide either \"path\" (edge list or .spg) or \"nodes\"+\"edges\"");
   if (path_field != nullptr && path_field->is_string()) {
     if (!options_.allow_path_create) {
-      bad_requests_.fetch_add(1);
-      return JsonError(403,
+      return HttpError{403,
                        "path-based graph creation is disabled (start with "
-                       "--allow-path-create 1, or send inline edges)");
+                       "--allow-path-create 1, or send inline edges)"};
     }
+    const auto undirected = OptionalBool(*doc, "undirected");
+    if (!undirected.ok()) return HttpError{400, undirected.status().message()};
     EdgeListOptions load_options;
-    if (const JsonValue* undirected = doc->Find("undirected")) {
-      load_options.undirected =
-          undirected->is_bool() && undirected->bool_value();
-    }
+    load_options.undirected = *undirected;
     graph = LoadGraphAnyFormat(path_field->string_value(), load_options);
   } else if (edges_field != nullptr) {
     auto nodes = RequireIndex(*doc, "nodes");
     if (!nodes.ok() || *nodes >= kInvalidNode) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, "inline graphs need a \"nodes\" count");
+      return HttpError{400, "inline graphs need a \"nodes\" count"};
     }
     if (*nodes > options_.max_inline_nodes) {
-      bad_requests_.fetch_add(1);
-      return JsonError(413, "inline graph exceeds max_inline_nodes (" +
+      return HttpError{413, "inline graph exceeds max_inline_nodes (" +
                                 std::to_string(options_.max_inline_nodes) +
-                                "); load large graphs via \"path\"");
+                                "); load large graphs via \"path\""};
     }
     std::vector<EdgeUpdate> edges;
     const Status parsed =
-        ReadEdgePairs(*edges_field, EdgeUpdate::Kind::kInsert, &edges);
-    if (!parsed.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, parsed.message());
-    }
+        ReadEdgePairs(edges_field, EdgeUpdate::Kind::kInsert, &edges);
+    if (!parsed.ok()) return HttpError{400, parsed.message()};
     GraphBuilder builder(static_cast<NodeId>(*nodes));
     for (const EdgeUpdate& edge : edges) builder.AddEdge(edge.src, edge.dst);
     graph = std::move(builder).Build(/*dedupe=*/false);
   }
-  if (!graph.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, graph.status().ToString());
-  }
+  if (!graph.ok()) return HttpError{400, graph.status().ToString()};
 
   const Status added = AddGraph(name, *std::move(graph), tenant_options);
-  if (!added.ok()) {
-    bad_requests_.fetch_add(1);
-    return JsonError(added);
-  }
+  if (!added.ok()) return HttpError::FromRegistry(added);
   auto stats = registry_.Stats(name);
 
-  JsonWriter writer;
-  writer.BeginObject();
-  writer.Key("graph");
-  writer.String(name);
+  writer->BeginObject();
+  writer->Key("graph");
+  writer->String(name);
   if (stats.ok()) {
-    writer.Key("generation");
-    writer.Uint(stats->generation);
-    writer.Key("nodes");
-    writer.Uint(stats->num_nodes);
-    writer.Key("edges");
-    writer.Uint(stats->num_edges);
+    writer->Key("generation");
+    writer->Uint(stats->generation);
+    writer->Key("nodes");
+    writer->Uint(stats->num_nodes);
+    writer->Key("edges");
+    writer->Uint(stats->num_edges);
   }
   // Echo the effective engine options so a client can confirm what the
   // tenant will actually run with (defaults merged in).
-  writer.Key("options");
-  WriteEngineOptions(&writer, tenant_options);
-  writer.EndObject();
-
-  HttpResponse response;
-  response.status = 201;
-  response.body = writer.Take();
-  response.body.push_back('\n');
-  return response;
+  writer->Key("options");
+  WriteEngineOptions(writer, tenant_options);
+  writer->EndObject();
+  return std::nullopt;
 }
 
 HttpResponse SimPushService::HandleGraphOp(const HttpRequest& request) {
   admin_requests_.fetch_add(1);
-  // Target shape: /v1/graphs/{name}[/edges|/swap].
+  JsonWriter writer;
+  const MaybeError error = ApplyGraphOp(request, &writer);
+  return Finish(error, &writer);
+}
+
+SimPushService::MaybeError SimPushService::ApplyGraphOp(
+    const HttpRequest& request, JsonWriter* writer) {
+  // Target shape: /v1/graphs/{name}[/edges|/swap|/options].
   constexpr std::string_view kPrefix = "/v1/graphs/";
   std::string_view rest(request.target);
   rest.remove_prefix(kPrefix.size());
@@ -1335,135 +1226,89 @@ HttpResponse SimPushService::HandleGraphOp(const HttpRequest& request) {
   const std::string_view name = rest.substr(0, slash);
   const std::string_view op =
       slash == std::string_view::npos ? std::string_view() : rest.substr(slash + 1);
-  if (!IsValidGraphName(name)) {
-    bad_requests_.fetch_add(1);
-    return JsonError(400, "graph name must be 1-64 chars of [A-Za-z0-9._-]");
-  }
+  if (!IsValidGraphName(name)) return HttpError{400, kGraphNameRule};
 
   if (op.empty()) {
     if (request.method == "GET") {
       if (auto stats = registry_.Stats(name); !stats.ok()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(stats.status());
+        return HttpError::FromRegistry(stats.status());
       }
-      JsonWriter writer;
-      writer.BeginObject();
-      writer.Key("graph");
-      writer.String(name);
-      writer.Key("stats");
-      WriteTenantSection(&writer, std::string(name));
-      writer.EndObject();
-      HttpResponse response;
-      response.body = writer.Take();
-      response.body.push_back('\n');
-      return response;
+      writer->BeginObject();
+      writer->Key("graph");
+      writer->String(name);
+      writer->Key("stats");
+      WriteTenantSection(writer, std::string(name));
+      writer->EndObject();
+      return std::nullopt;
     }
     if (request.method == "DELETE") {
       const Status removed = RemoveGraph(name);
       if (!removed.ok()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(removed);
+        return HttpError::FromRegistry(removed);
       }
-      JsonWriter writer;
-      writer.BeginObject();
-      writer.Key("graph");
-      writer.String(name);
-      writer.Key("deleted");
-      writer.Bool(true);
-      writer.EndObject();
-      HttpResponse response;
-      response.body = writer.Take();
-      response.body.push_back('\n');
-      return response;
+      writer->BeginObject();
+      writer->Key("graph");
+      writer->String(name);
+      writer->Key("deleted");
+      writer->Bool(true);
+      writer->EndObject();
+      return std::nullopt;
     }
-    bad_requests_.fetch_add(1);
-    return JsonError(405, "method not allowed");
+    return HttpError{405, "method not allowed"};
   }
 
   if (op == "swap" || op == "edges") {
-    if (request.method != "POST") {
-      bad_requests_.fetch_add(1);
-      return JsonError(405, "method not allowed");
-    }
+    if (request.method != "POST") return HttpError{405, "method not allowed"};
     StatusOr<UpdateOutcome> outcome =
         Status::InvalidArgument("unreachable");
     if (op == "swap") {
       outcome = registry_.Swap(name);
     } else {
-      auto doc = ParseJson(request.body);
-      if (!doc.ok() || !doc->is_object()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                       : doc.status().message());
-      }
+      const auto doc = ParseObject(request.body);
+      if (!doc.ok()) return HttpError{400, doc.status().message()};
       std::vector<EdgeUpdate> updates;
-      if (const JsonValue* add = doc->Find("add")) {
-        const Status parsed =
-            ReadEdgePairs(*add, EdgeUpdate::Kind::kInsert, &updates);
-        if (!parsed.ok()) {
-          bad_requests_.fetch_add(1);
-          return JsonError(400, parsed.message());
-        }
+      Status parsed =
+          ReadEdgePairs(doc->Find("add"), EdgeUpdate::Kind::kInsert, &updates);
+      if (parsed.ok()) {
+        parsed = ReadEdgePairs(doc->Find("remove"), EdgeUpdate::Kind::kDelete,
+                               &updates);
       }
-      if (const JsonValue* remove = doc->Find("remove")) {
-        const Status parsed =
-            ReadEdgePairs(*remove, EdgeUpdate::Kind::kDelete, &updates);
-        if (!parsed.ok()) {
-          bad_requests_.fetch_add(1);
-          return JsonError(400, parsed.message());
-        }
-      }
+      if (!parsed.ok()) return HttpError{400, parsed.message()};
       if (updates.empty()) {
-        bad_requests_.fetch_add(1);
-        return JsonError(400,
-                         "provide \"add\" and/or \"remove\" [src,dst] lists");
+        return HttpError{400,
+                         "provide \"add\" and/or \"remove\" [src,dst] lists"};
       }
       if (updates.size() > options_.max_update_edges) {
-        bad_requests_.fetch_add(1);
-        return JsonError(413, "update exceeds max_update_edges (" +
+        return HttpError{413, "update exceeds max_update_edges (" +
                                   std::to_string(options_.max_update_edges) +
-                                  ")");
+                                  ")"};
       }
-      bool force_swap = false;
-      if (const JsonValue* swap = doc->Find("swap")) {
-        force_swap = swap->is_bool() && swap->bool_value();
-      }
-      outcome = registry_.ApplyUpdates(name, updates, force_swap);
+      const auto swap = OptionalBool(*doc, "swap");
+      if (!swap.ok()) return HttpError{400, swap.status().message()};
+      outcome = registry_.ApplyUpdates(name, updates, *swap);
     }
     if (!outcome.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(outcome.status());
+      return HttpError::FromRegistry(outcome.status());
     }
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("graph");
-    writer.String(name);
-    writer.Key("applied");
-    writer.Uint(outcome->applied);
-    writer.Key("pending");
-    writer.Uint(outcome->pending);
-    writer.Key("swapped");
-    writer.Bool(outcome->swapped);
-    writer.Key("generation");
-    writer.Uint(outcome->generation);
-    writer.EndObject();
-    HttpResponse response;
-    response.body = writer.Take();
-    response.body.push_back('\n');
-    return response;
+    writer->BeginObject();
+    writer->Key("graph");
+    writer->String(name);
+    writer->Key("applied");
+    writer->Uint(outcome->applied);
+    writer->Key("pending");
+    writer->Uint(outcome->pending);
+    writer->Key("swapped");
+    writer->Bool(outcome->swapped);
+    writer->Key("generation");
+    writer->Uint(outcome->generation);
+    writer->EndObject();
+    return std::nullopt;
   }
 
   if (op == "options") {
-    if (request.method != "PATCH") {
-      bad_requests_.fetch_add(1);
-      return JsonError(405, "method not allowed");
-    }
-    auto doc = ParseJson(request.body);
-    if (!doc.ok() || !doc->is_object()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, doc.ok() ? "request body must be a JSON object"
-                                     : doc.status().message());
-    }
+    if (request.method != "PATCH") return HttpError{405, "method not allowed"};
+    const auto doc = ParseObject(request.body);
+    if (!doc.ok()) return HttpError{400, doc.status().message()};
     // REPLACE semantics against the process defaults — the same merge
     // and network bounds as POST /v1/graphs "options", so a field the
     // request omits reverts to the operator default rather than
@@ -1473,42 +1318,35 @@ HttpResponse SimPushService::HandleGraphOp(const HttpRequest& request) {
     if (const Status parsed = ReadTenantOptions(
             *doc, options_.min_request_epsilon, &tenant_options);
         !parsed.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, parsed.message());
+      return HttpError{400, parsed.message()};
     }
     if (doc->Find("options") == nullptr) {
-      bad_requests_.fetch_add(1);
-      return JsonError(400, "missing \"options\" object");
+      return HttpError{400, "missing \"options\" object"};
     }
     auto outcome = registry_.UpdateOptions(name, tenant_options);
     if (!outcome.ok()) {
-      bad_requests_.fetch_add(1);
-      return JsonError(outcome.status());
+      return HttpError::FromRegistry(outcome.status());
     }
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.Key("graph");
-    writer.String(name);
+    writer->BeginObject();
+    writer->Key("graph");
+    writer->String(name);
     // Echo the effective (merged) options, as the create endpoint does.
-    writer.Key("options");
-    WriteEngineOptions(&writer, tenant_options);
-    writer.Key("swapped");
-    writer.Bool(outcome->swapped);
-    writer.Key("pending");
-    writer.Uint(outcome->pending);
-    writer.Key("generation");
-    writer.Uint(outcome->generation);
-    writer.EndObject();
-    HttpResponse response;
-    response.body = writer.Take();
-    response.body.push_back('\n');
-    return response;
+    writer->Key("options");
+    WriteEngineOptions(writer, tenant_options);
+    writer->Key("swapped");
+    writer->Bool(outcome->swapped);
+    writer->Key("pending");
+    writer->Uint(outcome->pending);
+    writer->Key("generation");
+    writer->Uint(outcome->generation);
+    writer->EndObject();
+    return std::nullopt;
   }
 
-  bad_requests_.fetch_add(1);
-  return JsonError(404, "unknown graph operation \"" + std::string(op) +
-                            "\" (expected edges|swap|options)");
+  return HttpError{404, "unknown graph operation \"" + std::string(op) +
+                            "\" (expected edges|swap|options)"};
 }
+
 
 void SimPushService::LatencyRing::Record(double seconds) {
   MutexLock lock(&mu);

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -201,7 +202,7 @@ class SimPushService {
   HttpResponse HandleHealth(const HttpRequest& request);
   HttpResponse HandleGraphList(const HttpRequest& request);
   HttpResponse HandleGraphCreate(const HttpRequest& request);
-  /// Dispatcher for /v1/graphs/{name}[/edges|/swap] (prefix route).
+  /// Dispatcher for /v1/graphs/{name}[/edges|/swap|/options] (prefix route).
   HttpResponse HandleGraphOp(const HttpRequest& request);
 
   /// The registry backing this service.
@@ -211,6 +212,18 @@ class SimPushService {
   LatencySnapshot Latencies() const;
 
  private:
+  enum class Endpoint { kQuery, kTopK, kBatch };
+  struct QueryRequest;  // A parsed /v1/query|topk|batch body.
+  // The serve-local error value: the HTTP status and the message of the
+  // {"error": ...} body. 403, 405 and 413 have no StatusCode, so request
+  // steps reject with this and Finish turns it into the response.
+  struct HttpError {
+    int status;
+    std::string message;
+    static HttpError FromRegistry(const Status& status);
+  };
+  using MaybeError = std::optional<HttpError>;
+
   // Fixed-size preallocated latency ring; Record never allocates.
   struct LatencyRing {
     explicit LatencyRing(size_t size) : ring(size > 0 ? size : 1, 0.0) {}
@@ -239,45 +252,37 @@ class SimPushService {
   /// Folds one runner's lifetime totals into the service-wide engine
   /// counters surfaced by /v1/stats. Allocation-free.
   void AccumulateEngineTotals(const QueryRunnerTotals& totals);
-  /// One query on one generation bundle: the shared body of RunQuery
-  /// and the query/topk handlers (which already hold a lease).
-  /// `cancel` (nullable) is polled cooperatively inside the engine.
-  Status RunOnGeneration(const GraphGeneration& generation, NodeId u,
-                         SimPushResult* result,
-                         const CancelToken* cancel = nullptr);
-  /// One query on `generation`'s graph with the tenant's options but a
-  /// per-request ε. Uses a fresh core + private workspace (the
-  /// AdaptiveTopK per-round-core pattern), so the tenant's pooled
-  /// workspaces — and the bit-reproducibility of its non-override
-  /// traffic — are untouched.
-  Status RunWithEpsilonOverride(const GraphGeneration& generation, NodeId u,
-                                double epsilon, SimPushResult* result,
-                                const CancelToken* cancel = nullptr);
-  /// Shared body of the query/topk handlers: reads the optional
-  /// bounded "epsilon" override from `doc`, consults the generation's
-  /// result cache under the caller's lease (keyed by the fingerprint
-  /// of the MERGED effective options, so an override equal to the
-  /// tenant's own ε shares the no-override entry while a different ε
-  /// keys separately), and on a miss runs the query on the pooled hot
-  /// path (no override) or the fresh-core override path, then inserts
-  /// the computed result best-effort. Returns the ε that actually
-  /// produced `result` (override > tenant); `served_from_cache`
-  /// (nullable) reports whether the scores came from the cache so the
-  /// caller can stamp `"cached": true`. Parse errors map to 400 in the
-  /// caller; kDeadlineExceeded and kCancelled map to 504 and 499.
-  StatusOr<double> RunQueryRequest(const JsonValue& doc,
-                                   const GraphGeneration& generation,
-                                   NodeId u, SimPushResult* result,
-                                   const CancelToken* cancel = nullptr,
-                                   bool* served_from_cache = nullptr);
-  /// Maps a failed query status onto the HTTP vocabulary and bumps the
-  /// matching counters: kDeadlineExceeded → 504, kCancelled → 499
-  /// (both with partial timing in the body), anything else → 400.
-  HttpResponse QueryErrorResponse(const Status& status, double elapsed_ms,
-                                  int64_t deadline_ms,
-                                  std::string_view graph_name,
-                                  uint64_t generation,
-                                  const std::shared_ptr<TenantMetrics>& metrics);
+  /// The one single-source execution path (RunQuery, /v1/query,
+  /// /v1/topk): the generation's result cache, keyed by the fingerprint
+  /// of the merged effective options; on a miss the pooled hot path, or
+  /// a fresh core + private workspace when `epsilon` overrides the
+  /// tenant's ε; then a best-effort insert. `cancel` (nullable) is
+  /// polled inside the engine. Returns whether the scores came from the
+  /// cache.
+  StatusOr<bool> RunSingleSource(const GraphGeneration& generation, NodeId u,
+                                 std::optional<double> epsilon,
+                                 const CancelToken* cancel,
+                                 SimPushResult* result);
+  /// The query pipeline behind HandleQuery/TopK/Batch: parse the body
+  /// once into a QueryRequest, set up the deadline token, disconnect
+  /// watch and tenant metrics once, execute, and finish once — 200,
+  /// 4xx, 499 or 504, bumping exactly one outcome counter.
+  HttpResponse ServeQuery(Endpoint endpoint, const HttpRequest& request);
+  MaybeError ParseQueryRequest(const std::string& body, QueryRequest* query);
+  /// Execute steps: write the 200 document, or return the engine status.
+  Status ExecuteSingle(const QueryRequest& query, const CancelToken* cancel,
+                       JsonWriter* writer);
+  Status ExecuteBatch(const QueryRequest& query, const CancelToken* cancel,
+                      JsonWriter* writer);
+  /// Admin request bodies: write the success document or reject.
+  MaybeError CreateGraph(const HttpRequest& request, JsonWriter* writer);
+  MaybeError ApplyGraphOp(const HttpRequest& request, JsonWriter* writer);
+  /// The finish step every response leaves through: a rejection becomes
+  /// {"error": message} with its status and is the only place the "bad"
+  /// counter moves; otherwise `writer` holds the document for `status`.
+  /// Either way the body is moved out of the writer, never copied.
+  HttpResponse Finish(const MaybeError& error, JsonWriter* writer,
+                      int status = 200);
   std::shared_ptr<TenantMetrics> FindMetrics(std::string_view name) const;
   /// Resolves the tenant a request addresses ("graph" field or the
   /// default) and leases its current generation.

@@ -17,13 +17,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "graph/graph.h"
-#include "simpush/batch.h"
 #include "simpush/engine_core.h"
 #include "simpush/query_runner.h"
 #include "simpush/simpush.h"
@@ -77,6 +77,13 @@ struct ParallelBatchStats {
   double wall_seconds = 0;      ///< End-to-end elapsed time.
   double cpu_query_seconds = 0; ///< Sum of per-query times across workers.
   size_t num_threads = 0;       ///< Worker threads the batch ran on.
+};
+
+/// One query's top-k entries (node, score), highest score first; ties
+/// go to the smaller id and zero-score nodes are never reported.
+struct BatchTopKResult {
+  NodeId query = kInvalidNode;
+  std::vector<std::pair<NodeId, double>> topk;
 };
 
 /// Runs every query in `queries` on a shared executor. `on_result` is

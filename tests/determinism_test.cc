@@ -11,7 +11,6 @@
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
-#include "simpush/batch.h"
 #include "simpush/engine_core.h"
 #include "simpush/parallel.h"
 #include "simpush/query_runner.h"
@@ -265,23 +264,6 @@ TEST(DeterminismTest, UnfiredTokenInvisibleToBatchedKernel) {
     ASSERT_EQ(bare[v], serial_watched[v]) << "node " << v;
   }
   EXPECT_FALSE(token.cancelled());
-}
-
-TEST(DeterminismTest, SequentialBatchMatchesParallelBatch) {
-  // QueryBatch (one engine, sequential) and ParallelQueryBatch must
-  // agree exactly: engine reuse is invisible to results.
-  auto graph = GenerateChungLu(200, 1200, 2.3, 89);
-  ASSERT_TRUE(graph.ok());
-  const auto queries = FirstNodes(10);
-
-  SimPushEngine engine(*graph, TestOptions());
-  ScoreTable sequential;
-  QueryBatch(&engine, queries, [&](NodeId u, const SimPushResult& result) {
-    sequential[u] = result.scores;
-    return true;
-  });
-  const ScoreTable parallel = RunBatch(*graph, queries, 4);
-  ExpectIdentical(sequential, parallel, "sequential-vs-parallel");
 }
 
 }  // namespace

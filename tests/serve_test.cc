@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/memory.h"
 #include "gtest/gtest.h"
 #include "serve/http_client.h"
@@ -1366,6 +1367,397 @@ TEST(ServeCache, CacheUnderHotSwapServesOnlyItsGeneration) {
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->cache_hits, static_cast<uint64_t>(cached_responses.load()));
   EXPECT_GE(stats->cache_inserts, first_seen.size());
+}
+
+// ---------------------------------------------------------------------------
+// Golden reject table: every reject branch of the query and admin
+// endpoints, called through the handlers directly. Each row pins the
+// exact status, the exact body bytes, and the /v1/stats "bad" delta
+// (1 for each 4xx, 0 otherwise). Rows with two faults pin the order in
+// which an endpoint checks them.
+// ---------------------------------------------------------------------------
+
+struct GoldenRow {
+  const char* method;
+  const char* target;
+  const char* body;
+  int status;
+  // Exact response body without the trailing newline; nullptr for the
+  // few 200 rows whose body carries engine scores or timings.
+  const char* expected;
+};
+
+HttpResponse Dispatch(SimPushService& service, const GoldenRow& row) {
+  HttpRequest request;
+  request.method = row.method;
+  request.target = row.target;
+  request.body = row.body;
+  const std::string_view target = row.target;
+  if (target == "/v1/query") return service.HandleQuery(request);
+  if (target == "/v1/topk") return service.HandleTopK(request);
+  if (target == "/v1/batch") return service.HandleBatch(request);
+  if (target == "/v1/graphs") return service.HandleGraphCreate(request);
+  return service.HandleGraphOp(request);
+}
+
+uint64_t RequestCounter(SimPushService& service, std::string_view key) {
+  const HttpResponse response = service.HandleStats(HttpRequest{});
+  auto doc = ParseJson(response.body);
+  EXPECT_TRUE(doc.ok()) << response.body;
+  const JsonValue* requests = doc->Find("requests");
+  EXPECT_NE(requests, nullptr);
+  return requests->Find(key)->AsIndex().value();
+}
+
+void ExpectGoldenRows(SimPushService& service,
+                      const std::vector<GoldenRow>& rows) {
+  for (const GoldenRow& row : rows) {
+    SCOPED_TRACE(std::string(row.method) + " " + row.target + " " +
+                 row.body);
+    const uint64_t bad_before = RequestCounter(service, "bad");
+    const HttpResponse response = Dispatch(service, row);
+    EXPECT_EQ(response.status, row.status);
+    if (row.expected != nullptr) {
+      EXPECT_EQ(response.body, std::string(row.expected) + "\n");
+    }
+    const bool rejected = row.status >= 400 && row.status < 499;
+    EXPECT_EQ(RequestCounter(service, "bad") - bad_before,
+              rejected ? 1u : 0u);
+  }
+}
+
+ServiceOptions GoldenOptions() {
+  ServiceOptions options;
+  options.query = FastOptions();
+  options.num_threads = 2;
+  options.max_batch_nodes = 4;
+  options.max_update_edges = 2;
+  options.max_inline_nodes = 100;
+  options.max_graphs = 2;
+  return options;
+}
+
+TEST(ServeGoldenRejects, QueryEndpoints) {
+  SimPushService service(testing_util::MakeFixtureGraph(), GoldenOptions());
+  ExpectGoldenRows(service, {
+      // /v1/query
+      {"POST", "/v1/query", "{not json", 400,
+       R"j({"error":"JSON parse error at byte 1: expected object key )j"
+       R"j(string"})j"},
+      {"POST", "/v1/query", "[1,2]", 400,
+       R"j({"error":"request body must be a JSON object"})j"},
+      {"POST", "/v1/query", "{}", 400,
+       R"j({"error":"missing \"node\" field"})j"},
+      {"POST", "/v1/query", R"j({"node":-1})j", 400,
+       R"j({"error":"\"node\": expected a non-negative integer"})j"},
+      {"POST", "/v1/query", R"j({"node":1.5})j", 400,
+       R"j({"error":"\"node\": expected a non-negative integer"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"top_k":"x"})j", 400,
+       R"j({"error":"\"top_k\": expected a number"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"graph":5})j", 400,
+       R"j({"error":"\"graph\" must be a string"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"graph":"nope"})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"POST", "/v1/query", R"j({"node":10})j", 400,
+       R"j({"error":"node 10 out of range [0, 10)"})j"},
+      {"POST", "/v1/query", R"j({"node":4294967301})j", 400,
+       R"j({"error":"node 4294967301 out of range [0, 10)"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"deadline_ms":0})j", 400,
+       R"j({"error":"\"deadline_ms\" must be in [1, 60000]"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"deadline_ms":"soon"})j", 400,
+       R"j({"error":"\"deadline_ms\": expected a number"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"epsilon":2})j", 400,
+       R"j({"error":"\"epsilon\" must be in (0,1)"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"epsilon":1e-9})j", 400,
+       R"j({"error":"\"epsilon\" below the server's floor )j"
+       R"j((min_request_epsilon=0.001)"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"epsilon":"big"})j", 400,
+       R"j({"error":"\"epsilon\": expected a number"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"with_stats":"yes"})j", 400,
+       R"j({"error":"\"with_stats\" must be a boolean"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"with_stats":1})j", 400,
+       R"j({"error":"\"with_stats\" must be a boolean"})j"},
+      {"POST", "/v1/query",
+       R"j({"rid":"r1","node":1,"top_k":2,"with_stats":false})j",
+       200, nullptr},
+      // Two faults: node before top_k, lease before range, range before
+      // with_stats, deadline before epsilon.
+      {"POST", "/v1/query", R"j({"top_k":-1})j", 400,
+       R"j({"error":"missing \"node\" field"})j"},
+      {"POST", "/v1/query", R"j({"node":10,"graph":"nope"})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"POST", "/v1/query", R"j({"node":10,"with_stats":"yes"})j", 400,
+       R"j({"error":"node 10 out of range [0, 10)"})j"},
+      {"POST", "/v1/query", R"j({"node":1,"deadline_ms":0,"epsilon":2})j", 400,
+       R"j({"error":"\"deadline_ms\" must be in [1, 60000]"})j"},
+      // /v1/topk
+      {"POST", "/v1/topk", "{not json", 400,
+       R"j({"error":"JSON parse error at byte 1: expected object key )j"
+       R"j(string"})j"},
+      {"POST", "/v1/topk", "[]", 400,
+       R"j({"error":"request body must be a JSON object"})j"},
+      {"POST", "/v1/topk", R"j({"k":1})j", 400,
+       R"j({"error":"missing \"node\" field"})j"},
+      {"POST", "/v1/topk", R"j({"node":1,"k":-1})j", 400,
+       R"j({"error":"\"k\": expected a non-negative integer"})j"},
+      {"POST", "/v1/topk", R"j({"node":1,"graph":"nope"})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"POST", "/v1/topk", R"j({"node":4294967301})j", 400,
+       R"j({"error":"node 4294967301 out of range [0, 10)"})j"},
+      {"POST", "/v1/topk", R"j({"node":1,"deadline_ms":60001})j", 400,
+       R"j({"error":"\"deadline_ms\" must be in [1, 60000]"})j"},
+      {"POST", "/v1/topk", R"j({"node":1,"epsilon":0})j", 400,
+       R"j({"error":"\"epsilon\" must be in (0,1)"})j"},
+      {"POST", "/v1/topk", R"j({"rid":"r2","node":2,"k":0})j", 200,
+       R"j({"node":2,"graph":"default","generation":1,"epsilon":0.1,"k":0,)j"
+       R"j("top":[]})j"},
+      // Two faults: node before k, range before deadline.
+      {"POST", "/v1/topk", R"j({"node":"x","k":"y"})j", 400,
+       R"j({"error":"\"node\": expected a number"})j"},
+      {"POST", "/v1/topk", R"j({"node":10,"deadline_ms":0})j", 400,
+       R"j({"error":"node 10 out of range [0, 10)"})j"},
+      // /v1/batch
+      {"POST", "/v1/batch", "{not json", 400,
+       R"j({"error":"JSON parse error at byte 1: expected object key )j"
+       R"j(string"})j"},
+      {"POST", "/v1/batch", "3", 400,
+       R"j({"error":"request body must be a JSON object"})j"},
+      {"POST", "/v1/batch", "{}", 400,
+       R"j({"error":"missing \"nodes\" array"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":5})j", 400,
+       R"j({"error":"missing \"nodes\" array"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[0,1,2,3,4]})j", 413,
+       R"j({"error":"batch exceeds max_batch_nodes (4)"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[0],"k":-1})j", 400,
+       R"j({"error":"\"k\": expected a non-negative integer"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[0],"graph":"nope"})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[0,99]})j", 400,
+       R"j({"error":"\"nodes\" entries must be node ids in [0, 10)"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[0,"x"]})j", 400,
+       R"j({"error":"\"nodes\" entries must be node ids in [0, 10)"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[0],"deadline_ms":0})j", 400,
+       R"j({"error":"\"deadline_ms\" must be in [1, 60000]"})j"},
+      {"POST", "/v1/batch", R"j({"rid":"r3","nodes":[0,0],"k":1})j", 200,
+       nullptr},
+      // Two faults: size cap before k, lease before node entries.
+      {"POST", "/v1/batch", R"j({"nodes":[0,1,2,3,4],"k":-1})j", 413,
+       R"j({"error":"batch exceeds max_batch_nodes (4)"})j"},
+      {"POST", "/v1/batch", R"j({"nodes":[99],"graph":"nope"})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+  });
+}
+
+TEST(ServeGoldenRejects, AdminEndpoints) {
+  SimPushService service(testing_util::MakeFixtureGraph(), GoldenOptions());
+  ExpectGoldenRows(service, {
+      // POST /v1/graphs
+      {"POST", "/v1/graphs", "{not json", 400,
+       R"j({"error":"JSON parse error at byte 1: expected object key )j"
+       R"j(string"})j"},
+      {"POST", "/v1/graphs", "[]", 400,
+       R"j({"error":"request body must be a JSON object"})j"},
+      {"POST", "/v1/graphs", R"j({"nodes":2})j", 400,
+       R"j({"error":"missing \"name\" string field"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"a/b","nodes":2,"edges":[]})j", 400,
+       R"j({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":5})j", 400,
+       R"j({"error":"\"options\" must be an object"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"bogus":1}})j", 400,
+       R"j({"error":"unknown option \"bogus\" (expected )j"
+       R"j(epsilon|decay|delta|seed|walk_budget_cap)"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"epsilon":"x"}})j", 400,
+       R"j({"error":"\"options.epsilon\": expected a number"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"seed":-1}})j", 400,
+       R"j({"error":"\"options.seed\": expected a non-negative integer"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"epsilon":2}})j", 400,
+       R"j({"error":"\"options\": epsilon must be in (0,1)"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"epsilon":1e-9}})j",
+       400,
+       R"j({"error":"\"options.epsilon\" below the server's floor )j"
+       R"j((min_request_epsilon=0.001)"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"decay":0.7}})j", 400,
+       R"j({"error":"\"options.decay\" above the server default (0.6); )j"
+       R"j(raising the decay is operator-only"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","options":{"delta":1e-9}})j", 400,
+       R"j({"error":"\"options.delta\" below the server default (1e-04); )j"
+       R"j(lowering the delta is operator-only"})j"},
+      {"POST", "/v1/graphs",
+       R"j({"name":"g","options":{"walk_budget_cap":0}})j", 400,
+       R"j({"error":"\"options.walk_budget_cap\" must be positive (0 = )j"
+       R"j(uncapped is operator-only)"})j"},
+      {"POST", "/v1/graphs",
+       R"j({"name":"g","options":{"walk_budget_cap":20001}})j", 400,
+       R"j({"error":"\"options.walk_budget_cap\" above the server default )j"
+       R"j((20000); raising the cap is operator-only"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","path":"graph.txt"})j", 403,
+       R"j({"error":"path-based graph creation is disabled (start with )j"
+       R"j(--allow-path-create 1, or send inline edges)"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g"})j", 400,
+       R"j({"error":"InvalidArgument: provide either \"path\" (edge list or )j"
+       R"j(.spg) or \"nodes\"+\"edges\""})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","edges":[]})j", 400,
+       R"j({"error":"inline graphs need a \"nodes\" count"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","nodes":4294967295,"edges":[]})j",
+       400,
+       R"j({"error":"inline graphs need a \"nodes\" count"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","nodes":101,"edges":[]})j", 413,
+       R"j({"error":"inline graph exceeds max_inline_nodes (100); load large )j"
+       R"j(graphs via \"path\""})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","nodes":2,"edges":5})j", 400,
+       R"j({"error":"edge list must be an array of [src,dst]"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","nodes":2,"edges":[[0]]})j", 400,
+       R"j({"error":"edge list entries must be [src,dst] pairs"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","nodes":2,"edges":[[0,-1]]})j",
+       400,
+       R"j({"error":"edge endpoints must be node ids"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","nodes":2,"edges":[[0,5]]})j", 400,
+       R"j({"error":"InvalidArgument: edge endpoint out of range: 0->5 with )j"
+       R"j(n=2"})j"},
+      {"POST", "/v1/graphs",
+       R"j({"name":"default","nodes":2,"edges":[[0,1]]})j", 409,
+       R"j({"error":"graph \"default\" already exists"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"tiny","nodes":2,"edges":[[0,1]]})j",
+       201,
+       R"j({"graph":"tiny","generation":3,"nodes":2,"edges":1,)j"
+       R"j("options":{"epsilon":0.1,"decay":0.6,"delta":1e-04,"seed":42,)j"
+       R"j("walk_budget_cap":20000}})j"},
+      {"POST", "/v1/graphs", R"j({"name":"tiny2","nodes":2,"edges":[[0,1]]})j",
+       409,
+       R"j({"error":"graph limit reached (2)"})j"},
+      // Two faults: name before options, options before the path gate.
+      {"POST", "/v1/graphs", R"j({"name":"a/b","options":5})j", 400,
+       R"j({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})j"},
+      {"POST", "/v1/graphs", R"j({"name":"g","path":"graph.txt","options":5})j",
+       400,
+       R"j({"error":"\"options\" must be an object"})j"},
+      // /v1/graphs/{name}
+      {"GET", "/v1/graphs/a$b", "", 400,
+       R"j({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})j"},
+      {"GET", "/v1/graphs/nope", "", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"DELETE", "/v1/graphs/nope", "", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"POST", "/v1/graphs/default", "{}", 405,
+       R"j({"error":"method not allowed"})j"},
+      {"POST", "/v1/graphs/default/nope", "{}", 404,
+       R"j({"error":"unknown graph operation \"nope\" (expected )j"
+       R"j(edges|swap|options)"})j"},
+      // Two faults: the name is checked before the operation.
+      {"POST", "/v1/graphs/a$b/nope", "{}", 400,
+       R"j({"error":"graph name must be 1-64 chars of [A-Za-z0-9._-]"})j"},
+      // /v1/graphs/{name}/swap
+      {"GET", "/v1/graphs/default/swap", "", 405,
+       R"j({"error":"method not allowed"})j"},
+      {"POST", "/v1/graphs/nope/swap", "", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      // /v1/graphs/{name}/edges
+      {"GET", "/v1/graphs/default/edges", "", 405,
+       R"j({"error":"method not allowed"})j"},
+      {"POST", "/v1/graphs/default/edges", "{not json", 400,
+       R"j({"error":"JSON parse error at byte 1: expected object key )j"
+       R"j(string"})j"},
+      {"POST", "/v1/graphs/default/edges", "[]", 400,
+       R"j({"error":"request body must be a JSON object"})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"add":5})j", 400,
+       R"j({"error":"edge list must be an array of [src,dst]"})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"remove":[[0]]})j", 400,
+       R"j({"error":"edge list entries must be [src,dst] pairs"})j"},
+      {"POST", "/v1/graphs/default/edges", "{}", 400,
+       R"j({"error":"provide \"add\" and/or \"remove\" [src,dst] lists"})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"add":[[0,1],[1,2],[2,3]]})j",
+       413,
+       R"j({"error":"update exceeds max_update_edges (2)"})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"remove":[[7,9]]})j", 400,
+       R"j({"error":"batch rejected: update 0 rejected (no updates applied): )j"
+       R"j(edge not present"})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"add":[[0,50]]})j", 400,
+       R"j({"error":"batch rejected: update 0 rejected (no updates applied): )j"
+       R"j(edge endpoint out of range"})j"},
+      {"POST", "/v1/graphs/nope/edges", R"j({"add":[[0,1]]})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      {"POST", "/v1/graphs/default/edges",
+       R"j({"rid":"r4","add":[[0,5]],"swap":false})j", 200,
+       R"j({"graph":"default","applied":1,"pending":1,"swapped":false,)j"
+       R"j("generation":1})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"add":[[0,5]],"swap":1})j", 400,
+       R"j({"error":"\"swap\" must be a boolean"})j"},
+      {"POST", "/v1/graphs/default/edges", R"j({"add":[[0,5]],"swap":"yes"})j",
+       400,
+       R"j({"error":"\"swap\" must be a boolean"})j"},
+      // Two faults: add before remove, size cap before the swap flag,
+      // the body before the tenant.
+      {"POST", "/v1/graphs/default/edges", R"j({"add":5,"remove":[[0]]})j", 400,
+       R"j({"error":"edge list must be an array of [src,dst]"})j"},
+      {"POST", "/v1/graphs/default/edges",
+       R"j({"add":[[0,1],[1,2],[2,3]],"swap":1})j", 413,
+       R"j({"error":"update exceeds max_update_edges (2)"})j"},
+      {"POST", "/v1/graphs/nope/edges", "{}", 400,
+       R"j({"error":"provide \"add\" and/or \"remove\" [src,dst] lists"})j"},
+      // /v1/graphs/{name}/options
+      {"GET", "/v1/graphs/default/options", "", 405,
+       R"j({"error":"method not allowed"})j"},
+      {"PATCH", "/v1/graphs/default/options", "{not json", 400,
+       R"j({"error":"JSON parse error at byte 1: expected object key )j"
+       R"j(string"})j"},
+      {"PATCH", "/v1/graphs/default/options", "[]", 400,
+       R"j({"error":"request body must be a JSON object"})j"},
+      {"PATCH", "/v1/graphs/default/options", R"j({"options":{"bogus":1}})j",
+       400,
+       R"j({"error":"unknown option \"bogus\" (expected )j"
+       R"j(epsilon|decay|delta|seed|walk_budget_cap)"})j"},
+      {"PATCH", "/v1/graphs/default/options", "{}", 400,
+       R"j({"error":"missing \"options\" object"})j"},
+      {"PATCH", "/v1/graphs/nope/options", R"j({"options":{}})j", 404,
+       R"j({"error":"no graph named \"nope\""})j"},
+      // Two faults: options are parsed before the tenant is looked up.
+      {"PATCH", "/v1/graphs/nope/options", R"j({"options":{"bogus":1}})j", 400,
+       R"j({"error":"unknown option \"bogus\" (expected )j"
+       R"j(epsilon|decay|delta|seed|walk_budget_cap)"})j"},
+  });
+}
+
+// The path-create branch (opt-in) and its "undirected" flag.
+TEST(ServeGoldenRejects, PathCreate) {
+  ServiceOptions options = GoldenOptions();
+  options.allow_path_create = true;
+  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  ExpectGoldenRows(service, {
+      {"POST", "/v1/graphs", R"j({"name":"g","path":"no-such-graph.txt"})j",
+       400,
+       R"j({"error":"IOError: cannot open 'no-such-graph.txt'"})j"},
+      {"POST", "/v1/graphs",
+       R"j({"name":"g","path":"no-such-graph.txt","undirected":1})j", 400,
+       R"j({"error":"\"undirected\" must be a boolean"})j"},
+  });
+}
+
+// A 504 is not a bad request: it bumps deadline_expired and leaves
+// "bad" alone.
+TEST(ServeGoldenRejects, DeadlineIs504NotBad) {
+  SimPushService service(testing_util::MakeFixtureGraph(), GoldenOptions());
+  const uint64_t bad_before = RequestCounter(service, "bad");
+  const uint64_t expired_before = RequestCounter(service, "deadline_expired");
+  ASSERT_TRUE(FailpointRegistry::Get()
+                  .Activate("workspace_pool.acquire", "sleep:60")
+                  .ok());
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/query";
+  request.body = R"j({"node":8,"deadline_ms":20})j";
+  const HttpResponse response = service.HandleQuery(request);
+  FailpointRegistry::Get().DeactivateAll();
+  EXPECT_EQ(response.status, 504);
+  // elapsed_ms is a measurement; every other byte is pinned.
+  const std::string prefix = R"j({"error":"deadline exceeded","elapsed_ms":)j";
+  const std::string suffix =
+      R"j(,"deadline_ms":20,"graph":"default","generation":1})j" "\n";
+  ASSERT_GT(response.body.size(), prefix.size() + suffix.size());
+  EXPECT_EQ(response.body.substr(0, prefix.size()), prefix);
+  EXPECT_EQ(response.body.substr(response.body.size() - suffix.size()),
+            suffix);
+  EXPECT_EQ(RequestCounter(service, "bad"), bad_before);
+  EXPECT_EQ(RequestCounter(service, "deadline_expired"), expired_before + 1);
 }
 
 }  // namespace

@@ -43,6 +43,17 @@ R5 annotated-locks-only
     only the capability-annotated wrappers from common/annotations.h,
     so every lock site is visible to -Wthread-safety. (annotations.h
     itself wraps the std primitives and is exempt.)
+
+R6 one-request-pipeline
+    serve/service.cc runs /v1/query, /v1/topk and /v1/batch through one
+    parse -> execute -> finish pipeline, and every response leaves
+    through one finish step. So the request steps that used to be
+    copied into each handler must each have exactly one site there: the
+    bad_requests_ increment (Finish), the watcher_.Watch( call and the
+    ReadDeadlineMs( call (the pipeline's set-up and parse steps), and
+    the reused `static thread_local SimPushResult` (the single-source
+    execute step). A second site means a handler has forked the
+    pipeline again.
 """
 
 from __future__ import annotations
@@ -98,6 +109,21 @@ RAW_LOCK = re.compile(
     r"|std::unique_lock\b|std::scoped_lock\b|std::shared_mutex\b"
 )
 RAW_LOCK_EXEMPT = {"src/common/annotations.h"}
+
+# R6: steps of the serve request pipeline that must have exactly one
+# site in service.cc. ReadDeadlineMs( is matched only where it is not
+# preceded by a return type, so its definition is not a site.
+PIPELINE_FILE = "src/serve/service.cc"
+PIPELINE_SITES = {
+    "bad_requests_ increment": re.compile(
+        r"bad_requests_\s*(?:\.\s*fetch_add\b|\+\+|\+=)|\+\+\s*bad_requests_"
+    ),
+    "watcher_.Watch( call": re.compile(r"\bwatcher_\s*\.\s*Watch\s*\("),
+    "ReadDeadlineMs( call": re.compile(r"(?<![\w>]\s)\bReadDeadlineMs\s*\("),
+    "static thread_local SimPushResult": re.compile(
+        r"\bstatic\s+thread_local\s+SimPushResult\b"
+    ),
+}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -206,6 +232,20 @@ class Linter:
                         path, lineno, "annotated-locks-only",
                         "use the capability-annotated wrappers from "
                         "common/annotations.h, not raw std locks",
+                    )
+
+        # R6 — one site per request-pipeline step in the serve layer.
+        if rel == PIPELINE_FILE:
+            for what, pattern in PIPELINE_SITES.items():
+                sites = [lineno for lineno, line in enumerate(code_lines, 1)
+                         if pattern.search(line)]
+                if len(sites) != 1:
+                    self.report(
+                        path, sites[1] if len(sites) > 1 else 1,
+                        "one-request-pipeline",
+                        f"{what} must have exactly one site (found "
+                        f"{len(sites)}, lines {sites}); route the request "
+                        "through the shared pipeline instead",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
