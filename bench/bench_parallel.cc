@@ -2,24 +2,21 @@
 // batch SimRank processing as future work).
 //
 // Measures end-to-end wall time for a fixed batch of single-source
-// queries at 1, 2, 4, and 8 worker threads, comparing three execution
-// models:
-//   engine/worker — one full SimPushEngine (and its O(n) scratch)
-//                   constructed per worker, the pre-pool design;
+// queries at 1, 2, 4, and 8 worker threads, comparing two pool sizes:
 //   pooled        — one shared immutable EngineCore + a WorkspacePool
 //                   capped at the worker count (QueryExecutor);
 //   pooled-half   — same, pool capped at half the workers: the
 //                   memory/parallelism tradeoff only the pool exposes.
 // Reported per row: wall time, aggregate and per-worker queries/second,
 // speedup over one thread, summed per-query CPU time, and process peak
-// RSS (monotone per process — within a thread count the pooled rows run
-// first so their readings are not inflated by the baseline's).
+// RSS (monotone per process — within a thread count the half pool runs
+// first so its reading is not inflated by the full pool's).
 // Per-query results are bitwise independent of thread count and of
-// which model ran them (seeded per query node), so accuracy columns are
-// omitted — only scheduling changes.
+// pool size (seeded per query node), so accuracy columns are omitted —
+// only scheduling changes. docs/performance.md has the one-time
+// comparison against one full SimPushEngine per worker (parity).
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -29,7 +26,6 @@
 #include "bench_common.h"
 #include "bench_json.h"
 #include "common/memory.h"
-#include "common/thread_pool.h"
 #include "simpush/parallel.h"
 
 namespace simpush {
@@ -40,48 +36,6 @@ struct RunRow {
   ParallelBatchStats stats;
   size_t peak_rss = 0;
 };
-
-// The pre-pool execution model, kept as the bench baseline: a private
-// engine (core + workspace) per worker chunk.
-RunRow RunEnginePerWorker(const Graph& graph, const SimPushOptions& options,
-                          const std::vector<NodeId>& queries,
-                          size_t num_threads, size_t* sink) {
-  RunRow row;
-  // Pool construction precedes the timer on both models: the pooled
-  // path times only the batch (its executor is built first too), so
-  // thread-spawn cost must not be charged to this baseline either.
-  ThreadPool pool(num_threads);
-  Timer wall;
-  row.stats.num_threads = pool.num_threads();
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> local_sink{0};
-  std::atomic<uint64_t> cpu_nanos{0};
-  const size_t workers = pool.num_threads();
-  const size_t chunk = (queries.size() + workers - 1) / workers;
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    const size_t end = std::min(queries.size(), begin + chunk);
-    if (begin >= end) break;
-    pool.Submit([&, begin, end] {
-      SimPushEngine engine(graph, options);
-      SimPushResult result;
-      for (size_t i = begin; i < end; ++i) {
-        if (!engine.QueryInto(queries[i], &result).ok()) continue;
-        ok.fetch_add(1);
-        cpu_nanos.fetch_add(
-            static_cast<uint64_t>(result.stats.total_seconds * 1e9));
-        local_sink.fetch_add(result.scores.size());
-      }
-    });
-  }
-  pool.Wait();
-  row.stats.queries_ok = ok.load();
-  row.stats.cpu_query_seconds = cpu_nanos.load() / 1e9;
-  row.stats.wall_seconds = wall.ElapsedSeconds();
-  row.peak_rss = PeakRssBytes();
-  *sink += local_sink.load();
-  return row;
-}
 
 RunRow RunPooled(const Graph& graph, const SimPushOptions& options,
                  const std::vector<NodeId>& queries, size_t num_threads,
@@ -140,20 +94,18 @@ void RunDataset(const DatasetSpec& spec) {
               "cpu-sum(s)", "peak-rss");
 
   size_t sink = 0;
-  double engines_baseline = 0;
   double pooled_baseline = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     // Peak RSS is process-monotone: every reading is a floor inherited
     // from all earlier runs (including previous thread counts), not a
-    // per-model measurement. Running smallest-footprint first within a
-    // thread count keeps a model's reading from being inflated by a
-    // LARGER model at the same count — enough to demonstrate the capped
-    // pool's bound at the top thread count, not to detect small
-    // pooled-model memory regressions.
+    // per-pool measurement. Running the smaller pool first within a
+    // thread count keeps its reading from being inflated by the LARGER
+    // pool at the same count — enough to demonstrate the capped pool's
+    // bound at the top thread count, not to detect small memory
+    // regressions.
     //
     // Half-capacity pool first: same thread count, scratch bounded at
-    // O(threads/2 · n) — the memory/parallelism knob the
-    // per-worker-engine design cannot express.
+    // O(threads/2 · n).
     RunRow capped = RunPooled(graph, options, queries, threads,
                               std::max<size_t>(1, threads / 2), &sink);
     RunRow pooled =
@@ -163,18 +115,7 @@ void RunDataset(const DatasetSpec& spec) {
                    pooled.stats.queries_failed);
       std::exit(1);
     }
-    RunRow engines =
-        RunEnginePerWorker(graph, options, queries, threads, &sink);
-    if (engines.stats.queries_ok != queries.size()) {
-      std::fprintf(stderr, "FATAL: engine/worker run lost queries\n");
-      std::exit(1);
-    }
-    if (threads == 1) {
-      engines_baseline = engines.stats.wall_seconds;
-      pooled_baseline = pooled.stats.wall_seconds;
-    }
-    PrintRow("engine/worker", engines, queries.size(), engines_baseline,
-             spec.name);
+    if (threads == 1) pooled_baseline = pooled.stats.wall_seconds;
     PrintRow("pooled", pooled, queries.size(), pooled_baseline, spec.name);
     PrintRow("pooled-half", capped, queries.size(), pooled_baseline,
              spec.name);
@@ -201,8 +142,8 @@ int main(int argc, char** argv) {
   std::printf("== Parallel batch throughput (extension bench) ==\n");
   std::printf(
       "(single-query latency is unchanged; this measures how an "
-      "index-free method scales offline batch scoring, and that the "
-      "pooled-workspace model costs nothing vs an engine per worker)\n");
+      "index-free method scales offline batch scoring, and what capping "
+      "the workspace pool at half the workers costs)\n");
   for (const DatasetSpec& spec : SmallDatasets()) {
     RunDataset(spec);
   }

@@ -30,14 +30,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_ready_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  while (in_flight_ != 0) all_done_.Wait(mu_);
 }
 
 void ThreadPool::WorkerLoop() {
@@ -54,12 +48,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      if (--in_flight_ == 0) {
-        all_done_.NotifyAll();
-      }
-    }
   }
 }
 
@@ -71,15 +59,22 @@ void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
   const size_t num_chunks =
       std::min(pool.num_threads(), (total + min_chunk - 1) / min_chunk);
   const size_t chunk = (total + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t lo = begin + c * chunk;
+
+  // Completion is counted per call, so concurrent fan-outs sharing one
+  // pool wait only for their own chunks, never for unrelated tasks.
+  Mutex done_mu;
+  CondVar chunk_done;
+  size_t pending = (total + chunk - 1) / chunk;  // Guarded by done_mu.
+  for (size_t lo = begin; lo < end; lo += chunk) {
     const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.Submit([lo, hi, &body] {
+    pool.Submit([lo, hi, &body, &done_mu, &chunk_done, &pending] {
       for (size_t i = lo; i < hi; ++i) body(i);
+      MutexLock lock(&done_mu);
+      if (--pending == 0) chunk_done.NotifyAll();
     });
   }
-  pool.Wait();
+  MutexLock lock(&done_mu);
+  while (pending != 0) chunk_done.Wait(done_mu);
 }
 
 }  // namespace simpush

@@ -1,7 +1,7 @@
-// Fixed-size thread pool with a blocking task queue plus a ParallelFor
-// helper. Used by the batch/parallel query paths and by parallel
-// ground-truth generation; the single-query SimPush path stays strictly
-// single-threaded (matching the paper's measurements).
+// Fixed-size thread pool with a blocking task queue plus ParallelFor,
+// the one fan-out every concurrent query path (batch, join, the serve
+// layer's /v1/batch) is built on; the single-query SimPush path stays
+// strictly single-threaded (matching the paper's measurements).
 
 #ifndef SIMPUSH_COMMON_THREAD_POOL_H_
 #define SIMPUSH_COMMON_THREAD_POOL_H_
@@ -33,11 +33,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues one task. Never blocks (unbounded queue).
+  /// Enqueues one task. Never blocks (unbounded queue). A caller that
+  /// needs its tasks finished waits for them itself (ParallelFor does).
   void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
 
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
@@ -47,10 +45,7 @@ class ThreadPool {
 
   Mutex mu_;
   CondVar task_ready_;
-  CondVar all_done_;
   std::queue<std::function<void()>> tasks_ SIMPUSH_GUARDED_BY(mu_);
-  // queued + currently executing
-  size_t in_flight_ SIMPUSH_GUARDED_BY(mu_) = 0;
   bool shutting_down_ SIMPUSH_GUARDED_BY(mu_) = false;
   // Written once by the constructor before any concurrent access;
   // num_threads() reads it lock-free thereafter.
@@ -59,8 +54,10 @@ class ThreadPool {
 
 /// Runs `body(i)` for every i in [begin, end) across the pool, splitting
 /// the range into contiguous chunks (one per worker, minimum `min_chunk`
-/// indices each) and blocking until all chunks finish. `body` must be
-/// safe to call concurrently for distinct i.
+/// indices each) and blocking until all chunks finish. It waits only
+/// for its own chunks, never for unrelated tasks on the same pool, so
+/// concurrent fan-outs sharing one pool stay independent. `body` must
+/// be safe to call concurrently for distinct i.
 void ParallelFor(ThreadPool& pool, size_t begin, size_t end,
                  const std::function<void(size_t)>& body,
                  size_t min_chunk = 1);

@@ -9,11 +9,11 @@
 #include <utility>
 
 #include "common/memory.h"
+#include "common/thread_pool.h"
 #include "eval/metrics.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "serve/json.h"
-#include "simpush/parallel.h"
 #include "simpush/workspace.h"
 
 namespace simpush {
@@ -75,18 +75,31 @@ StatusOr<JsonValue> ParseObject(std::string_view body) {
   return doc;
 }
 
-void WriteTopEntries(JsonWriter* writer, const std::vector<double>& scores,
-                     size_t k, NodeId exclude) {
-  writer->BeginArray();
-  // TopK sorts descending, so the first zero ends the useful prefix —
-  // matching QueryTopK, which never reports zero-score nodes.
+// One response's top-k entries (node, score), highest score first.
+using TopEntries = std::vector<std::pair<NodeId, double>>;
+
+// The selection behind every "top" array (/v1/query with top_k,
+// /v1/topk, /v1/batch). TopK sorts descending with ties to the smaller
+// id, so the first zero ends the useful prefix — matching QueryTopK,
+// which never reports zero-score nodes.
+TopEntries SelectTopEntries(const std::vector<double>& scores, size_t k,
+                            NodeId exclude) {
+  TopEntries top;
   for (NodeId v : TopK(scores, k, exclude)) {
     if (scores[v] <= 0.0) break;
+    top.emplace_back(v, scores[v]);
+  }
+  return top;
+}
+
+void WriteTopEntries(JsonWriter* writer, const TopEntries& top) {
+  writer->BeginArray();
+  for (const auto& [v, score] : top) {
     writer->BeginObject();
     writer->Key("node");
     writer->Uint(v);
     writer->Key("score");
-    writer->Double(scores[v]);
+    writer->Double(score);
     writer->EndObject();
   }
   writer->EndArray();
@@ -646,14 +659,7 @@ HttpResponse SimPushService::ServeQuery(Endpoint endpoint,
                  query.graph_name, query.lease->id());
     return Finish(std::nullopt, &writer, abandoned ? 499 : 504);
   }
-  if (!status.ok()) {
-    // A batch engine error names its status code ("InvalidArgument:
-    // ..."); a single-source one carries only the message.
-    return Finish(HttpError{400, endpoint == Endpoint::kBatch
-                                     ? status.ToString()
-                                     : status.message()},
-                  &writer);
-  }
+  if (!status.ok()) return Finish(HttpError{400, status.message()}, &writer);
   (endpoint == Endpoint::kQuery  ? query_requests_
    : endpoint == Endpoint::kTopK ? topk_requests_
                                  : batch_requests_)
@@ -747,7 +753,7 @@ Status SimPushService::ExecuteSingle(const QueryRequest& query,
   // performs zero heap allocations (see serve_test's alloc-hook check).
   // Override requests run off this hot path by design (fresh core +
   // private workspace) and may allocate. QueryTopK would allocate a
-  // fresh O(n) score vector per request, and WriteTopEntries selects
+  // fresh O(n) score vector per request, and SelectTopEntries picks
   // the identical entries (self and zero scores excluded, ties to the
   // smaller id).
   static thread_local SimPushResult result;
@@ -781,7 +787,7 @@ Status SimPushService::ExecuteSingle(const QueryRequest& query,
   }
   if (topk || query.k > 0) {
     writer->Key("top");
-    WriteTopEntries(writer, result.scores, query.k, u);
+    WriteTopEntries(writer, SelectTopEntries(result.scores, query.k, u));
   } else {
     writer->Key("scores");
     writer->BeginArray();
@@ -819,19 +825,38 @@ Status SimPushService::ExecuteBatch(const QueryRequest& query,
     }
   }
 
-  // Fan out across the registry's shared thread pool; one workspace
-  // from this generation's pool per chunk (ForEachQueryChunked),
-  // results in input order. The lease pins the generation for the
-  // whole fan-out, so every chunk scores the same graph even if a swap
-  // lands mid-batch. A fired token stops chunks between queries and
-  // inside each query's push loops.
-  ParallelBatchStats batch_stats;
-  auto results = ParallelQueryBatchTopK(
-      query.lease->core(), registry_.thread_pool(), query.lease->workspaces(),
-      unique_nodes, query.k, &batch_stats, cancel);
-  if (!results.ok()) return results.status();
-  engine_query_nanos_.fetch_add(
-      static_cast<uint64_t>(batch_stats.cpu_query_seconds * 1e9));
+  // Fan the distinct sources out across the registry's shared thread
+  // pool. Each one runs the single-source path — cache Get, pooled
+  // run, best-effort Insert, engine totals — so a batch reads and
+  // fills the same cache entries as /v1/query and /v1/topk. The lease
+  // pins the generation for the whole fan-out, so every source scores
+  // the same graph even if a swap lands mid-batch. A fired token skips
+  // the sources not yet started and stops running ones inside their
+  // push loops.
+  const GraphGeneration& generation = *query.lease;
+  std::vector<TopEntries> tops(unique_nodes.size());
+  Mutex error_mu;
+  Status error;  // Guarded by error_mu (locals cannot be annotated).
+  Timer wall;
+  ParallelFor(registry_.thread_pool(), 0, unique_nodes.size(),
+              [&](size_t i) {
+                if (ShouldStop(cancel)) return;
+                const NodeId u = unique_nodes[i];
+                SimPushResult result;
+                const StatusOr<bool> cached = RunSingleSource(
+                    generation, u, std::nullopt, cancel, &result);
+                if (!cached.ok()) {
+                  MutexLock lock(&error_mu);
+                  error = cached.status();
+                  return;
+                }
+                tops[i] = SelectTopEntries(result.scores, query.k, u);
+              });
+  const double wall_ms = wall.ElapsedSeconds() * 1e3;
+  // A fired token wins over a source's error: the batch answers with
+  // the deadline or disconnect, never with a partial result.
+  if (cancel != nullptr) SIMPUSH_RETURN_NOT_OK(cancel->Check());
+  SIMPUSH_RETURN_NOT_OK(error);
 
   writer->BeginObject();
   writer->Key("graph");
@@ -841,7 +866,7 @@ Status SimPushService::ExecuteBatch(const QueryRequest& query,
   writer->Key("k");
   writer->Uint(query.k);
   writer->Key("wall_ms");
-  writer->Double(batch_stats.wall_seconds * 1e3);
+  writer->Double(wall_ms);
   // How much the dedup saved is visible per response: M ≤ N distinct
   // sources were actually scored for the N requested positions.
   writer->Key("nodes");
@@ -851,21 +876,11 @@ Status SimPushService::ExecuteBatch(const QueryRequest& query,
   writer->Key("results");
   writer->BeginArray();
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const BatchTopKResult& result = (*results)[slot[i]];
     writer->BeginObject();
     writer->Key("node");
-    writer->Uint(result.query);
+    writer->Uint(nodes[i]);
     writer->Key("top");
-    writer->BeginArray();
-    for (const auto& [v, score] : result.topk) {
-      writer->BeginObject();
-      writer->Key("node");
-      writer->Uint(v);
-      writer->Key("score");
-      writer->Double(score);
-      writer->EndObject();
-    }
-    writer->EndArray();
+    WriteTopEntries(writer, tops[slot[i]]);
     writer->EndObject();
   }
   writer->EndArray();

@@ -27,8 +27,9 @@
 // worker thread that parsed them — each leases the tenant's current
 // generation (a shared_ptr copy; queries never block on a hot swap and
 // keep the generation alive until they finish) and one workspace from
-// that generation's pool. /v1/batch fans its nodes out across the
-// registry's shared thread pool. Admin endpoints mutate only the
+// that generation's pool. /v1/batch fans its distinct nodes out across
+// the registry's shared thread pool, each through the same
+// single-source path (and result cache) as /v1/query. Admin endpoints mutate only the
 // registry, whose rebuilds happen outside every query-path lock.
 //
 // Admission control lives in two places: the HttpServer sheds whole
@@ -253,12 +254,12 @@ class SimPushService {
   /// counters surfaced by /v1/stats. Allocation-free.
   void AccumulateEngineTotals(const QueryRunnerTotals& totals);
   /// The one single-source execution path (RunQuery, /v1/query,
-  /// /v1/topk): the generation's result cache, keyed by the fingerprint
-  /// of the merged effective options; on a miss the pooled hot path, or
-  /// a fresh core + private workspace when `epsilon` overrides the
-  /// tenant's ε; then a best-effort insert. `cancel` (nullable) is
-  /// polled inside the engine. Returns whether the scores came from the
-  /// cache.
+  /// /v1/topk and every /v1/batch source): the generation's result
+  /// cache, keyed by the fingerprint of the merged effective options;
+  /// on a miss the pooled hot path, or a fresh core + private workspace
+  /// when `epsilon` overrides the tenant's ε; then a best-effort
+  /// insert. `cancel` (nullable) is polled inside the engine. Returns
+  /// whether the scores came from the cache.
   StatusOr<bool> RunSingleSource(const GraphGeneration& generation, NodeId u,
                                  std::optional<double> epsilon,
                                  const CancelToken* cancel,
@@ -310,9 +311,9 @@ class SimPushService {
   std::atomic<uint64_t> bad_requests_{0};
   std::atomic<uint64_t> deadline_expired_{0};   // 504s, all graphs.
   std::atomic<uint64_t> client_abandoned_{0};   // 499s, all graphs.
-  // Engine-side totals aggregated from QueryRunnerTotals: CPU seconds
-  // spent inside queries (all endpoints) and level-detection walks
-  // (query/topk paths; the batch fan-out does not expose walk counts).
+  // Engine-side totals aggregated from QueryRunnerTotals by
+  // RunSingleSource, for every query endpoint: CPU seconds spent inside
+  // queries and level-detection walks.
   std::atomic<uint64_t> engine_query_nanos_{0};
   std::atomic<uint64_t> engine_walks_{0};
 

@@ -5,7 +5,6 @@
 
 #include "common/annotations.h"
 #include "common/timer.h"
-#include "simpush/topk.h"
 
 namespace simpush {
 
@@ -18,55 +17,22 @@ QueryExecutor::QueryExecutor(const Graph& graph,
                                      : thread_pool_.num_threads()) {}
 
 void ForEachQueryChunked(
-    const EngineCore& core, ThreadPool& thread_pool,
-    WorkspacePool& workspaces, size_t num_items,
-    const std::function<void(QueryRunner&, size_t begin, size_t end)>&
-        run_chunk,
-    const CancelToken* cancel) {
-  const size_t workers = std::max<size_t>(1, thread_pool.num_threads());
-  const size_t chunk = (num_items + workers - 1) / workers;
-
-  // Completion is tracked per call, not via ThreadPool::Wait (which
-  // drains the WHOLE pool): concurrent batches on one executor must
-  // only wait for their own chunks.
-  Mutex done_mu;
-  CondVar chunk_done;
-  size_t pending = 0;  // Guarded by done_mu (locals cannot be annotated).
-
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = w * chunk;
-    const size_t end = std::min(num_items, begin + chunk);
-    if (begin >= end) break;
-    {
-      MutexLock lock(&done_mu);
-      ++pending;
-    }
-    thread_pool.Submit(
-        [&core, &workspaces, &run_chunk, &done_mu, &chunk_done, &pending,
-         begin, end, cancel] {
-          // One leased workspace serves the whole chunk; the lease
-          // returns to the pool when the runner dies, so a later batch
-          // on the same executor reuses the (warm) workspace. A chunk
-          // whose token already fired never leases at all — an expired
-          // batch must stop fanning out, not drain the pool.
-          if (!ShouldStop(cancel)) {
-            QueryRunner runner(core, workspaces, cancel);
-            run_chunk(runner, begin, end);
-          }
-          MutexLock lock(&done_mu);
-          if (--pending == 0) chunk_done.NotifyAll();
-        });
-  }
-  MutexLock lock(&done_mu);
-  while (pending != 0) chunk_done.Wait(done_mu);
-}
-
-void ForEachQueryChunked(
     QueryExecutor& executor, size_t num_items,
     const std::function<void(QueryRunner&, size_t begin, size_t end)>&
         run_chunk) {
-  ForEachQueryChunked(executor.core(), executor.thread_pool(),
-                      executor.workspaces(), num_items, run_chunk);
+  const size_t chunk =
+      (num_items + executor.num_threads() - 1) / executor.num_threads();
+  if (chunk == 0) return;
+  // At most one chunk per worker, so ParallelFor hands every chunk
+  // index to its own task. One leased workspace serves the whole
+  // chunk; the lease returns to the pool when the runner dies, so a
+  // later batch on the same executor reuses the (warm) workspace.
+  ParallelFor(executor.thread_pool(), 0, (num_items + chunk - 1) / chunk,
+              [&](size_t c) {
+                QueryRunner runner(executor.core(), executor.workspaces());
+                run_chunk(runner, c * chunk,
+                          std::min(num_items, (c + 1) * chunk));
+              });
 }
 
 ParallelBatchStats ParallelQueryBatch(
@@ -104,86 +70,6 @@ ParallelBatchStats ParallelQueryBatch(
   stats.cpu_query_seconds = cpu_nanos.load() / 1e9;
   stats.wall_seconds = wall.ElapsedSeconds();
   return stats;
-}
-
-ParallelBatchStats ParallelQueryBatch(
-    const Graph& graph, const SimPushOptions& options,
-    const std::vector<NodeId>& queries, size_t num_threads,
-    const std::function<void(NodeId, const SimPushResult&)>& on_result) {
-  QueryExecutor executor(graph, options, num_threads);
-  return ParallelQueryBatch(executor, queries, on_result);
-}
-
-StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
-    const EngineCore& core, ThreadPool& thread_pool,
-    WorkspacePool& workspaces, const std::vector<NodeId>& queries, size_t k,
-    ParallelBatchStats* stats, const CancelToken* cancel) {
-  std::vector<BatchTopKResult> results(queries.size());
-
-  ParallelBatchStats local_stats;
-  Timer wall;
-  local_stats.num_threads = thread_pool.num_threads();
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> failed{0};
-  std::atomic<uint64_t> cpu_nanos{0};
-
-  ForEachQueryChunked(
-      core, thread_pool, workspaces, queries.size(),
-      [&](QueryRunner& runner, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          // Between queries is the cheapest place to notice a fired
-          // token: skip the rest of the chunk instead of starting
-          // queries whose results would be discarded.
-          if (ShouldStop(cancel)) break;
-          const NodeId u = queries[i];
-          auto topk = QueryTopK(&runner, u, k);
-          if (!topk.ok()) {
-            failed.fetch_add(1);
-            continue;
-          }
-          ok.fetch_add(1);
-          cpu_nanos.fetch_add(
-              static_cast<uint64_t>(topk->stats.total_seconds * 1e9));
-          results[i].query = u;
-          results[i].topk.reserve(topk->entries.size());
-          for (const TopKEntry& entry : topk->entries) {
-            results[i].topk.emplace_back(entry.node, entry.score);
-          }
-        }
-      },
-      cancel);
-
-  local_stats.queries_ok = ok.load();
-  local_stats.queries_failed = failed.load();
-  local_stats.cpu_query_seconds = cpu_nanos.load() / 1e9;
-  local_stats.wall_seconds = wall.ElapsedSeconds();
-  if (stats != nullptr) *stats = local_stats;
-
-  // A fired token wins over the failure count: skipped chunks report
-  // a deadline/cancel error, not a bogus invalid-node error. The
-  // fired-query failures inside chunks carry the same token status.
-  if (cancel != nullptr) {
-    SIMPUSH_RETURN_NOT_OK(cancel->Check());
-  }
-  if (local_stats.queries_failed > 0) {
-    return Status::InvalidArgument("batch contained invalid query nodes");
-  }
-  return results;
-}
-
-StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
-    QueryExecutor& executor, const std::vector<NodeId>& queries, size_t k,
-    ParallelBatchStats* stats) {
-  return ParallelQueryBatchTopK(executor.core(), executor.thread_pool(),
-                                executor.workspaces(), queries, k, stats);
-}
-
-StatusOr<std::vector<BatchTopKResult>> ParallelQueryBatchTopK(
-    const Graph& graph, const SimPushOptions& options,
-    const std::vector<NodeId>& queries, size_t k, size_t num_threads,
-    ParallelBatchStats* stats) {
-  QueryExecutor executor(graph, options, num_threads);
-  return ParallelQueryBatchTopK(executor, queries, k, stats);
 }
 
 }  // namespace simpush

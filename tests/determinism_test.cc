@@ -38,7 +38,8 @@ using ScoreTable = std::map<NodeId, std::vector<double>>;
 ScoreTable RunBatch(const Graph& graph, const std::vector<NodeId>& queries,
                     size_t threads) {
   ScoreTable scores;
-  auto stats = ParallelQueryBatch(graph, TestOptions(), queries, threads,
+  QueryExecutor executor(graph, TestOptions(), threads);
+  auto stats = ParallelQueryBatch(executor, queries,
                                   [&](NodeId u, const SimPushResult& result) {
                                     scores[u] = result.scores;
                                   });
@@ -119,32 +120,6 @@ TEST(DeterminismTest, EngineReuseIdenticalToFreshEngine) {
   }
 }
 
-TEST(DeterminismTest, TopKBatchBitIdenticalAcrossThreadCounts) {
-  auto graph = GenerateChungLu(300, 1800, 2.4, 83);
-  ASSERT_TRUE(graph.ok());
-  const auto queries = FirstNodes(16);
-
-  auto run = [&](size_t threads) {
-    ParallelBatchStats stats;
-    auto results = ParallelQueryBatchTopK(*graph, TestOptions(), queries, 10,
-                                          threads, &stats);
-    EXPECT_TRUE(results.ok());
-    EXPECT_EQ(stats.queries_ok, queries.size());
-    return std::move(results).value();
-  };
-  const auto with_one = run(1);
-  const auto with_eight = run(8);
-  ASSERT_EQ(with_one.size(), with_eight.size());
-  for (size_t i = 0; i < with_one.size(); ++i) {
-    ASSERT_EQ(with_one[i].query, with_eight[i].query);
-    ASSERT_EQ(with_one[i].topk.size(), with_eight[i].topk.size());
-    for (size_t j = 0; j < with_one[i].topk.size(); ++j) {
-      ASSERT_EQ(with_one[i].topk[j].first, with_eight[i].topk[j].first);
-      ASSERT_EQ(with_one[i].topk[j].second, with_eight[i].topk[j].second);
-    }
-  }
-}
-
 TEST(DeterminismTest, NeverFiringCancelTokenIsInvisible) {
   // The cancellation determinism contract (common/deadline.h): a token
   // that never fires must be invisible — the poll reads state only and
@@ -219,7 +194,8 @@ TEST(DeterminismTest, BatchedEqualsSerialBitIdentical) {
     SimPushOptions options = TestOptions();
     options.walk_wave_size = wave;
     ScoreTable scores;
-    auto stats = ParallelQueryBatch(*graph, options, queries, threads,
+    QueryExecutor executor(*graph, options, threads);
+    auto stats = ParallelQueryBatch(executor, queries,
                                     [&](NodeId u, const SimPushResult& r) {
                                       scores[u] = r.scores;
                                     });

@@ -30,9 +30,9 @@ TEST(ParallelBatchTest, AllQueriesComplete) {
   ASSERT_TRUE(graph.ok());
   const auto queries = FirstNodes(16);
   std::map<NodeId, double> self_scores;
+  QueryExecutor executor(*graph, TestOptions(), /*num_threads=*/4);
   auto stats = ParallelQueryBatch(
-      *graph, TestOptions(), queries, /*num_threads=*/4,
-      [&](NodeId u, const SimPushResult& result) {
+      executor, queries, [&](NodeId u, const SimPushResult& result) {
         self_scores[u] = result.scores[u];
       });
   EXPECT_EQ(stats.queries_ok, queries.size());
@@ -49,10 +49,9 @@ TEST(ParallelBatchTest, InvalidQueriesCountedNotFatal) {
   ASSERT_TRUE(graph.ok());
   std::vector<NodeId> queries = {1, 2, 999, 3, 888};
   size_t callbacks = 0;
-  auto stats = ParallelQueryBatch(*graph, TestOptions(), queries, 2,
-                                  [&](NodeId, const SimPushResult&) {
-                                    ++callbacks;
-                                  });
+  QueryExecutor executor(*graph, TestOptions(), 2);
+  auto stats = ParallelQueryBatch(
+      executor, queries, [&](NodeId, const SimPushResult&) { ++callbacks; });
   EXPECT_EQ(stats.queries_ok, 3u);
   EXPECT_EQ(stats.queries_failed, 2u);
   EXPECT_EQ(callbacks, 3u);
@@ -67,7 +66,8 @@ TEST(ParallelBatchTest, ResultsIndependentOfThreadCount) {
 
   auto run = [&](size_t threads) {
     std::map<NodeId, std::vector<double>> scores;
-    ParallelQueryBatch(*graph, TestOptions(), queries, threads,
+    QueryExecutor executor(*graph, TestOptions(), threads);
+    ParallelQueryBatch(executor, queries,
                        [&](NodeId u, const SimPushResult& result) {
                          scores[u] = result.scores;
                        });
@@ -85,45 +85,12 @@ TEST(ParallelBatchTest, ResultsIndependentOfThreadCount) {
   }
 }
 
-TEST(ParallelBatchTopKTest, OrderedAndComplete) {
-  auto graph = GenerateChungLu(400, 2400, 2.5, 5);
-  ASSERT_TRUE(graph.ok());
-  const auto queries = FirstNodes(10);
-  ParallelBatchStats stats;
-  auto results =
-      ParallelQueryBatchTopK(*graph, TestOptions(), queries, 10, 3, &stats);
-  ASSERT_TRUE(results.ok());
-  ASSERT_EQ(results->size(), queries.size());
-  EXPECT_EQ(stats.queries_ok, queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    // Results come back in query order.
-    EXPECT_EQ((*results)[i].query, queries[i]);
-    const auto& topk = (*results)[i].topk;
-    EXPECT_LE(topk.size(), 10u);
-    // Descending scores, query node excluded.
-    for (size_t j = 1; j < topk.size(); ++j) {
-      EXPECT_LE(topk[j].second, topk[j - 1].second);
-    }
-    for (const auto& [node, score] : topk) {
-      EXPECT_NE(node, queries[i]);
-      EXPECT_GE(score, 0.0);
-    }
-  }
-}
-
-TEST(ParallelBatchTopKTest, InvalidQueryFailsBatch) {
-  auto graph = GenerateErdosRenyi(30, 120, 3);
-  ASSERT_TRUE(graph.ok());
-  std::vector<NodeId> queries = {1, 500};
-  auto results = ParallelQueryBatchTopK(*graph, TestOptions(), queries, 5, 2);
-  EXPECT_FALSE(results.ok());
-}
-
 TEST(ParallelBatchTest, EmptyQuerySet) {
   auto graph = GenerateErdosRenyi(30, 120, 3);
   ASSERT_TRUE(graph.ok());
-  auto stats = ParallelQueryBatch(*graph, TestOptions(), {}, 2,
-                                  [](NodeId, const SimPushResult&) {});
+  QueryExecutor executor(*graph, TestOptions(), 2);
+  auto stats =
+      ParallelQueryBatch(executor, {}, [](NodeId, const SimPushResult&) {});
   EXPECT_EQ(stats.queries_ok, 0u);
   EXPECT_EQ(stats.queries_failed, 0u);
 }

@@ -1230,6 +1230,45 @@ TEST(ServeCache, BatchDeduplicatesRepeatedSources) {
   }
 }
 
+// /v1/batch runs each source through the single-source path, so it
+// fills the result cache: a later /v1/query for a batched source is a
+// hit, stamped, with scores bit-identical to a direct computation.
+TEST(ServeCache, BatchFillsCacheForLaterQuery) {
+  ServeFixture fixture;
+  HttpClient client("127.0.0.1", fixture.port());
+
+  auto batch = client.Post("/v1/batch", "{\"nodes\":[3,5]}");
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->status, 200) << batch->body;
+
+  auto query = client.Post("/v1/query", "{\"node\":3}");
+  ASSERT_TRUE(query.ok());
+  ASSERT_EQ(query->status, 200) << query->body;
+  EXPECT_NE(query->body.find("\"cached\":true"), std::string::npos)
+      << "a batched source must be served from the cache: " << query->body;
+  EXPECT_EQ(ScoresFromBody(query->body), fixture.DirectScores(3));
+}
+
+// Engine work done for a batch is counted in /v1/stats like any other
+// query's: engine.walks_sampled rises after a batch of fresh sources.
+TEST(ServeCache, BatchWalksCountInEngineStats) {
+  ServeFixture fixture;
+  HttpClient client("127.0.0.1", fixture.port());
+  auto walks_sampled = [&fixture]() -> uint64_t {
+    auto doc = ParseJson(fixture.service().HandleStats(HttpRequest{}).body);
+    EXPECT_TRUE(doc.ok());
+    return doc.ok()
+               ? doc->Find("engine")->Find("walks_sampled")->AsIndex().value()
+               : 0;
+  };
+
+  const uint64_t before = walks_sampled();
+  auto batch = client.Post("/v1/batch", "{\"nodes\":[3,5]}");
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->status, 200) << batch->body;
+  EXPECT_GT(walks_sampled(), before);
+}
+
 // --cache-off equivalent: cache_bytes = 0 disables caching — repeat
 // queries recompute (never stamped) and stats say so.
 TEST(ServeCache, DisabledCacheNeverStamps) {
@@ -1736,28 +1775,34 @@ TEST(ServeGoldenRejects, PathCreate) {
 // "bad" alone.
 TEST(ServeGoldenRejects, DeadlineIs504NotBad) {
   SimPushService service(testing_util::MakeFixtureGraph(), GoldenOptions());
-  const uint64_t bad_before = RequestCounter(service, "bad");
-  const uint64_t expired_before = RequestCounter(service, "deadline_expired");
-  ASSERT_TRUE(FailpointRegistry::Get()
-                  .Activate("workspace_pool.acquire", "sleep:60")
-                  .ok());
-  HttpRequest request;
-  request.method = "POST";
-  request.target = "/v1/query";
-  request.body = R"j({"node":8,"deadline_ms":20})j";
-  const HttpResponse response = service.HandleQuery(request);
-  FailpointRegistry::Get().DeactivateAll();
-  EXPECT_EQ(response.status, 504);
   // elapsed_ms is a measurement; every other byte is pinned.
   const std::string prefix = R"j({"error":"deadline exceeded","elapsed_ms":)j";
   const std::string suffix =
       R"j(,"deadline_ms":20,"graph":"default","generation":1})j" "\n";
-  ASSERT_GT(response.body.size(), prefix.size() + suffix.size());
-  EXPECT_EQ(response.body.substr(0, prefix.size()), prefix);
-  EXPECT_EQ(response.body.substr(response.body.size() - suffix.size()),
-            suffix);
-  EXPECT_EQ(RequestCounter(service, "bad"), bad_before);
-  EXPECT_EQ(RequestCounter(service, "deadline_expired"), expired_before + 1);
+  for (const GoldenRow& row : std::vector<GoldenRow>{
+           {"POST", "/v1/query", R"j({"node":8,"deadline_ms":20})j", 504,
+            nullptr},
+           {"POST", "/v1/batch", R"j({"nodes":[8,9],"deadline_ms":20})j",
+            504, nullptr},
+       }) {
+    SCOPED_TRACE(row.target);
+    const uint64_t bad_before = RequestCounter(service, "bad");
+    const uint64_t expired_before =
+        RequestCounter(service, "deadline_expired");
+    ASSERT_TRUE(FailpointRegistry::Get()
+                    .Activate("workspace_pool.acquire", "sleep:60")
+                    .ok());
+    const HttpResponse response = Dispatch(service, row);
+    FailpointRegistry::Get().DeactivateAll();
+    EXPECT_EQ(response.status, row.status);
+    ASSERT_GT(response.body.size(), prefix.size() + suffix.size());
+    EXPECT_EQ(response.body.substr(0, prefix.size()), prefix);
+    EXPECT_EQ(response.body.substr(response.body.size() - suffix.size()),
+              suffix);
+    EXPECT_EQ(RequestCounter(service, "bad"), bad_before);
+    EXPECT_EQ(RequestCounter(service, "deadline_expired"),
+              expired_before + 1);
+  }
 }
 
 }  // namespace

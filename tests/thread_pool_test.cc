@@ -4,6 +4,8 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -78,29 +80,15 @@ TEST(AnnotationsTest, WaitForTimesOutWithoutNotification) {
             std::cv_status::timeout);
 }
 
-TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  SUCCEED();
-}
-
 TEST(ThreadPoolTest, SingleThreadPoolRunsSequentially) {
-  ThreadPool pool(1);
   std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 10; ++i) {
+      pool.Submit([&order, i] { order.push_back(i); });
+    }
+    // The destructor drains the queue before joining.
   }
-  pool.Wait();
   // One worker: FIFO order is deterministic and no data race on `order`.
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -111,14 +99,11 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToHardware) {
   EXPECT_GE(pool.num_threads(), 1u);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossWaitCycles) {
+TEST(ThreadPoolTest, ReusableAcrossParallelForCycles) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
   for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    ParallelFor(pool, 0, 20, [&counter](size_t) { counter.fetch_add(1); });
     EXPECT_EQ(counter.load(), (round + 1) * 20);
   }
 }
@@ -130,7 +115,7 @@ TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
     for (int i = 0; i < 50; ++i) {
       pool.Submit([&counter] { counter.fetch_add(1); });
     }
-    // No Wait(): destructor must still run every queued task.
+    // Nothing waits: the destructor must still run every queued task.
   }
   EXPECT_EQ(counter.load(), 50);
 }
@@ -179,6 +164,27 @@ TEST(ParallelForTest, ParallelSumMatchesSequential) {
   const uint64_t expected =
       std::accumulate(values.begin(), values.end(), uint64_t{0});
   EXPECT_EQ(parallel_sum.load(), expected);
+}
+
+TEST(ParallelForTest, ReturnsWhileUnrelatedTaskBlocks) {
+  // ParallelFor waits only for its own chunks: a task another caller
+  // left blocked on the same pool must not hold it up. The call runs
+  // under a timed wait, so a fan-out that waits for the whole pool
+  // fails here instead of hanging the suite.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([released] { released.wait(); });
+  std::atomic<int> counter{0};
+  auto fan_out = std::async(std::launch::async, [&pool, &counter] {
+    ParallelFor(pool, 0, 100, [&counter](size_t) { counter.fetch_add(1); });
+  });
+  const bool returned = fan_out.wait_for(std::chrono::seconds(5)) ==
+                        std::future_status::ready;
+  release.set_value();
+  fan_out.get();
+  EXPECT_TRUE(returned) << "ParallelFor waited for an unrelated task";
+  EXPECT_EQ(counter.load(), 100);
 }
 
 }  // namespace

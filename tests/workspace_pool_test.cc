@@ -17,6 +17,7 @@
 #include "simpush/parallel.h"
 #include "simpush/query_runner.h"
 #include "simpush/simpush.h"
+#include "simpush/topk.h"
 #include "simpush/workspace_pool.h"
 #include "test_util.h"
 
@@ -174,9 +175,9 @@ TEST(PooledConcurrencyTest, ConcurrentQueriesBitIdenticalToSerial) {
 }
 
 TEST(PooledConcurrencyTest, ExecutorFanOutsReturnEveryLease) {
-  // Every fan-out path drains its leases: after batches, top-k batches,
-  // and reuse of the same executor, outstanding() must be zero and the
-  // workspace count bounded by the pool capacity.
+  // Every fan-out path drains its leases: after batches, a chunked
+  // top-k fan-out, and reuse of the same executor, outstanding() must
+  // be zero and the workspace count bounded by the pool capacity.
   Graph g = testing_util::RandomGraph(200, 1200, 31);
   QueryExecutor executor(g, TestOptions(), 4);
   std::vector<NodeId> queries;
@@ -191,8 +192,16 @@ TEST(PooledConcurrencyTest, ExecutorFanOutsReturnEveryLease) {
     EXPECT_EQ(executor.workspaces().outstanding(), 0u)
         << "leaked lease in round " << round;
   }
-  auto topk = ParallelQueryBatchTopK(executor, queries, 5);
-  ASSERT_TRUE(topk.ok());
+  std::atomic<size_t> topk_ok{0};
+  ForEachQueryChunked(executor, queries.size(),
+                      [&](QueryRunner& runner, size_t begin, size_t end) {
+                        for (size_t i = begin; i < end; ++i) {
+                          if (QueryTopK(&runner, queries[i], 5).ok()) {
+                            topk_ok.fetch_add(1);
+                          }
+                        }
+                      });
+  EXPECT_EQ(topk_ok.load(), queries.size());
   EXPECT_EQ(executor.workspaces().outstanding(), 0u);
   EXPECT_LE(executor.workspaces().created(), executor.workspaces().capacity());
 }

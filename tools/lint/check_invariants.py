@@ -54,6 +54,14 @@ R6 one-request-pipeline
     the reused `static thread_local SimPushResult` (the single-source
     execute step). A second site means a handler has forked the
     pipeline again.
+
+    The execute step has one single-source path, RunSingleSource, and
+    /v1/batch runs each of its sources through it. So cache->Get( and
+    cache->Insert( also have exactly one site in service.cc, and the
+    offline fan-out API (ParallelQueryBatch*, ForEachQueryChunked from
+    simpush/parallel.h) appears nowhere under src/serve/: a batch that
+    bypasses the single-source path would skip the result cache and
+    the engine counters.
 """
 
 from __future__ import annotations
@@ -123,7 +131,12 @@ PIPELINE_SITES = {
     "static thread_local SimPushResult": re.compile(
         r"\bstatic\s+thread_local\s+SimPushResult\b"
     ),
+    "cache->Get( call": re.compile(r"\bcache\s*->\s*Get\s*\("),
+    "cache->Insert( call": re.compile(r"\bcache\s*->\s*Insert\s*\("),
 }
+# R6: the offline fan-out API the serve layer must not call.
+SERVE_DIR = "src/serve/"
+SERVE_BANNED = re.compile(r"\b(?:ParallelQueryBatch\w*|ForEachQueryChunked)\b")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -246,6 +259,15 @@ class Linter:
                         f"{what} must have exactly one site (found "
                         f"{len(sites)}, lines {sites}); route the request "
                         "through the shared pipeline instead",
+                    )
+        if rel.startswith(SERVE_DIR):
+            for lineno, line in enumerate(code_lines, 1):
+                if SERVE_BANNED.search(line):
+                    self.report(
+                        path, lineno, "one-request-pipeline",
+                        "the serve layer runs every source through "
+                        "RunSingleSource; do not fan out with the "
+                        "simpush/parallel.h batch API",
                     )
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
