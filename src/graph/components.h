@@ -1,7 +1,7 @@
 // Connectivity utilities: weakly connected components and reverse
-// reachability. SimRank is zero across weak components, so the CLI and
-// examples use these to explain empty result sets, and tests use them
-// to assert no cross-component score leakage.
+// reachability. SimRank is zero across weak components; tests use these
+// to assert no cross-component score leakage. No tool or example calls
+// them.
 
 #ifndef SIMPUSH_GRAPH_COMPONENTS_H_
 #define SIMPUSH_GRAPH_COMPONENTS_H_

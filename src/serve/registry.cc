@@ -358,6 +358,8 @@ StatusOr<TenantStats> GraphRegistry::Stats(std::string_view name) const {
     stats.cache_evictions = m.evictions.load(std::memory_order_relaxed);
     stats.cache_admission_rejects =
         m.admission_rejects.load(std::memory_order_relaxed);
+    stats.cache_oversize_rejects =
+        m.oversize_rejects.load(std::memory_order_relaxed);
     stats.cache_insert_failures =
         m.insert_failures.load(std::memory_order_relaxed);
   }

@@ -172,6 +172,7 @@ struct TenantStats {
   uint64_t cache_inserts = 0;
   uint64_t cache_evictions = 0;
   uint64_t cache_admission_rejects = 0;
+  uint64_t cache_oversize_rejects = 0;
   uint64_t cache_insert_failures = 0;
 };
 

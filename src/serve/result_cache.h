@@ -18,10 +18,7 @@
 // fingerprint canonicalizes the *effective* options: the tenant's
 // options merged with any per-request ε override, hashed over exactly
 // the score-affecting fields (ε, c, δ, seed, walk cap, level
-// detection, gamma correction). walk_wave_size is deliberately
-// excluded: it is a scheduling knob that is bit-invisible to results
-// (see walk/walk_batch.h), so two requests differing only in wave
-// size MUST share an entry. A request that explicitly passes the
+// detection, gamma correction). A request that explicitly passes the
 // tenant's own ε fingerprints identically to one that passes none —
 // default-vs-explicit options are the same key by construction.
 //
@@ -35,7 +32,8 @@
 // keeps a scan of one-shot sources from flushing the hot set.
 //
 // Budget. A hard per-tenant byte budget, split evenly across shards.
-// Entries larger than a shard's budget are never admitted.
+// Entries larger than a shard's budget are never admitted; they count
+// as oversize_rejects, apart from the admission duels TinyLFU loses.
 //
 // Thread-safety: all methods safe from any thread. The cache is
 // sharded by key hash; each shard has its own mutex, LRU list and
@@ -68,7 +66,6 @@ namespace serve {
 /// score vectors on the same generation; option sets differing in any
 /// score-affecting field fingerprint differently (up to 64-bit hash
 /// collisions, which the bit-reproducibility tests would surface).
-/// walk_wave_size is excluded on purpose: it is bit-invisible.
 uint64_t OptionsFingerprint(const SimPushOptions& options);
 
 /// Lifetime cache counters, shared across a tenant's generations so
@@ -80,6 +77,7 @@ struct ResultCacheMetrics {
   std::atomic<uint64_t> inserts{0};
   std::atomic<uint64_t> evictions{0};
   std::atomic<uint64_t> admission_rejects{0};
+  std::atomic<uint64_t> oversize_rejects{0};
   std::atomic<uint64_t> insert_failures{0};
 };
 

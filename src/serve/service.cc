@@ -14,7 +14,6 @@
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "serve/json.h"
-#include "simpush/workspace.h"
 
 namespace simpush {
 namespace serve {
@@ -548,33 +547,20 @@ StatusOr<bool> SimPushService::RunSingleSource(
                                    ? OptionsFingerprint(merged)
                                    : generation.options_fingerprint();
   if (cache != nullptr && cache->Get(u, fingerprint, result)) return true;
-  Status status;
-  if (!epsilon.has_value()) {
-    // Lease one pooled workspace for this query; construction blocks
-    // while all `pool_capacity` workspaces are in flight, which is the
-    // backpressure that bounds query-scratch memory under load (a fired
-    // `cancel` unblocks the wait). The caller's generation lease is
-    // what a hot swap can never invalidate.
-    QueryRunner runner(generation.core(), generation.workspaces(), cancel);
-    status = runner.QueryInto(u, result);
-    AccumulateEngineTotals(runner.totals());
-  } else {
-    // The AdaptiveTopK per-round-core pattern: derived parameters are
-    // cheap to recompute, so an override query builds a throwaway core
-    // for its ε over the leased generation's graph. It deliberately
-    // does NOT touch the generation's workspace pool — a private
-    // workspace keeps override traffic from competing for (or
-    // resizing) the pooled scratch that serves the tenant's
-    // configured-ε hot path.
-    EngineCore core(generation.graph(), merged);
-    SIMPUSH_RETURN_NOT_OK(core.options_status());
-    QueryWorkspace workspace;
-    QueryRunner runner(core, &workspace);
-    runner.set_cancellation(cancel);
-    status = runner.QueryInto(u, result);
-    AccumulateEngineTotals(runner.totals());
-  }
-  SIMPUSH_RETURN_NOT_OK(status);
+  // An override runs on a throwaway core for its ε over the leased
+  // generation's graph (derived parameters are cheap to recompute).
+  // Either way the query leases one of the generation's pooled
+  // workspaces: construction blocks while all `pool_capacity` are in
+  // flight, which is the backpressure that bounds query-scratch memory
+  // under load (a fired `cancel` unblocks the wait). Which workspace
+  // runs a query cannot change its scores. The caller's generation
+  // lease is what a hot swap can never invalidate.
+  std::optional<EngineCore> override_core;
+  if (epsilon.has_value()) override_core.emplace(generation.graph(), merged);
+  QueryRunner runner(override_core ? *override_core : generation.core(),
+                     generation.workspaces(), cancel);
+  SIMPUSH_RETURN_NOT_OK(runner.QueryInto(u, result));
+  AccumulateEngineTotals(result->stats);
   // Best-effort: a rejected insert (budget, admission duel, injected
   // failure) just means this computed answer is served uncached.
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
@@ -592,10 +578,10 @@ Status SimPushService::RunQuery(NodeId u, SimPushResult* result) {
   return RunQuery(options_.default_graph, u, result);
 }
 
-void SimPushService::AccumulateEngineTotals(const QueryRunnerTotals& totals) {
+void SimPushService::AccumulateEngineTotals(const SimPushQueryStats& stats) {
   engine_query_nanos_.fetch_add(
-      static_cast<uint64_t>(totals.query_seconds * 1e9));
-  engine_walks_.fetch_add(totals.walks_sampled);
+      static_cast<uint64_t>(stats.total_seconds * 1e9));
+  engine_walks_.fetch_add(stats.walks_sampled);
 }
 
 StatusOr<GenerationLease> SimPushService::LeaseFor(const JsonValue& doc,
@@ -751,11 +737,10 @@ Status SimPushService::ExecuteSingle(const QueryRequest& query,
                                      JsonWriter* writer) {
   // Reused per HTTP worker thread: after warm-up the query path below
   // performs zero heap allocations (see serve_test's alloc-hook check).
-  // Override requests run off this hot path by design (fresh core +
-  // private workspace) and may allocate. QueryTopK would allocate a
-  // fresh O(n) score vector per request, and SelectTopEntries picks
-  // the identical entries (self and zero scores excluded, ties to the
-  // smaller id).
+  // Override requests also build a throwaway core for their ε (see
+  // RunSingleSource). QueryTopK would allocate a fresh O(n) score
+  // vector per request, and SelectTopEntries picks the identical
+  // entries (self and zero scores excluded, ties to the smaller id).
   static thread_local SimPushResult result;
   const GraphGeneration& generation = *query.lease;
   const NodeId u = query.nodes[0];
@@ -963,6 +948,8 @@ void SimPushService::WriteTenantSection(JsonWriter* writer,
     writer->Uint(stats->cache_evictions);
     writer->Key("admission_rejects");
     writer->Uint(stats->cache_admission_rejects);
+    writer->Key("oversize_rejects");
+    writer->Uint(stats->cache_oversize_rejects);
     writer->Key("insert_failures");
     writer->Uint(stats->cache_insert_failures);
     writer->EndObject();

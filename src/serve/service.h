@@ -250,16 +250,17 @@ class SimPushService {
   /// tenant ring — the caller looked the tenant up once per request.
   void RecordLatency(const std::shared_ptr<TenantMetrics>& metrics,
                      double seconds);
-  /// Folds one runner's lifetime totals into the service-wide engine
+  /// Folds one successful query's stats into the service-wide engine
   /// counters surfaced by /v1/stats. Allocation-free.
-  void AccumulateEngineTotals(const QueryRunnerTotals& totals);
+  void AccumulateEngineTotals(const SimPushQueryStats& stats);
   /// The one single-source execution path (RunQuery, /v1/query,
   /// /v1/topk and every /v1/batch source): the generation's result
   /// cache, keyed by the fingerprint of the merged effective options;
-  /// on a miss the pooled hot path, or a fresh core + private workspace
-  /// when `epsilon` overrides the tenant's ε; then a best-effort
-  /// insert. `cancel` (nullable) is polled inside the engine. Returns
-  /// whether the scores came from the cache.
+  /// on a miss one run on a pooled workspace, against the generation's
+  /// core or, when `epsilon` overrides the tenant's ε, a throwaway core
+  /// built for that ε; then a best-effort insert. `cancel` (nullable)
+  /// is polled inside the engine. Returns whether the scores came from
+  /// the cache.
   StatusOr<bool> RunSingleSource(const GraphGeneration& generation, NodeId u,
                                  std::optional<double> epsilon,
                                  const CancelToken* cancel,
@@ -311,9 +312,9 @@ class SimPushService {
   std::atomic<uint64_t> bad_requests_{0};
   std::atomic<uint64_t> deadline_expired_{0};   // 504s, all graphs.
   std::atomic<uint64_t> client_abandoned_{0};   // 499s, all graphs.
-  // Engine-side totals aggregated from QueryRunnerTotals by
-  // RunSingleSource, for every query endpoint: CPU seconds spent inside
-  // queries and level-detection walks.
+  // Engine-side totals summed from each successful query's stats by
+  // RunSingleSource, for every query endpoint: wall seconds spent
+  // inside queries and level-detection walks.
   std::atomic<uint64_t> engine_query_nanos_{0};
   std::atomic<uint64_t> engine_walks_{0};
 

@@ -29,15 +29,6 @@ struct SimPushOptions {
   /// far beyond what the paper's reported query times could include.
   uint64_t walk_budget_cap = 0;
 
-  /// Lockstep wave width of the batched walk kernel (walk/walk_batch.h),
-  /// clamped to [1, kMaxWalkWaveSize]. Purely a scheduling knob: the
-  /// counter-based per-walk RNG streams make results bit-identical for
-  /// every value, so this trades prefetch overlap against SoA state
-  /// footprint without affecting output. 64 keeps ~64 in-flight cache
-  /// misses, past the point where the kernel's throughput plateaus
-  /// (BM_WalkKernel sweep in bench_micro).
-  uint32_t walk_wave_size = 64;
-
   /// Ablation: when false, skip walk-based level detection and always
   /// explore L* levels.
   bool use_level_detection = true;

@@ -89,13 +89,6 @@ WorkspaceLease WorkspacePool::Acquire(const CancelToken* cancel) {
   return WorkspaceLease(this, workspace);
 }
 
-WorkspaceLease WorkspacePool::TryAcquire() {
-  MutexLock lock(&mu_);
-  QueryWorkspace* workspace = TakeLocked();
-  return workspace == nullptr ? WorkspaceLease()
-                              : WorkspaceLease(this, workspace);
-}
-
 void WorkspacePool::Return(QueryWorkspace* workspace) {
   {
     MutexLock lock(&mu_);

@@ -8,7 +8,7 @@
 // serves queries with zero steady-state heap allocations no matter
 // which workspace a query lands on.
 //
-// Thread-safety contract: Acquire/TryAcquire/Return and the counters
+// Thread-safety contract: Acquire/Return and the counters
 // are safe to call from any thread. The QueryWorkspace handed out by a
 // lease is exclusively owned by the holder until the lease is released
 // — the pool never touches a leased workspace. The pool must outlive
@@ -84,9 +84,6 @@ class WorkspacePool {
   /// expired in the queue must not tie up scratch memory). A null
   /// `cancel` behaves exactly like Acquire().
   WorkspaceLease Acquire(const CancelToken* cancel);
-
-  /// Non-blocking variant: an empty lease when the pool is exhausted.
-  WorkspaceLease TryAcquire();
 
   /// Maximum number of simultaneously leased workspaces.
   size_t capacity() const { return capacity_; }

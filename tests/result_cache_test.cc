@@ -61,15 +61,7 @@ void AccessThenInsert(ResultCache* cache, NodeId node, uint64_t fingerprint,
 
 TEST(OptionsFingerprint, CanonicalizesExactlyTheScoreAffectingFields) {
   const SimPushOptions base = FastOptions();
-  // walk_wave_size is a scheduling knob, bit-invisible to results: it
-  // MUST NOT split the key space.
-  SimPushOptions wave = base;
-  wave.walk_wave_size = 1;
-  EXPECT_EQ(OptionsFingerprint(base), OptionsFingerprint(wave));
-  wave.walk_wave_size = 4096;
-  EXPECT_EQ(OptionsFingerprint(base), OptionsFingerprint(wave));
-
-  // Every score-affecting field must split it.
+  // Every score-affecting field must split the key space.
   SimPushOptions changed = base;
   changed.epsilon = 0.2;
   EXPECT_NE(OptionsFingerprint(base), OptionsFingerprint(changed));
@@ -172,11 +164,14 @@ TEST(ResultCacheTest, OneShotSourceCannotEvictHotEntries) {
 }
 
 TEST(ResultCacheTest, OversizedEntryIsRejectedOutright) {
+  // An entry larger than its shard's budget is an oversize reject, not
+  // an admission reject: TinyLFU never held a duel for it.
   ResultCache cache(SmallConfig(2, 16));
   const uint64_t fp = OptionsFingerprint(FastOptions());
   EXPECT_FALSE(cache.Insert(0, fp, MakeResult(100000, 0.5)));
   EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_GE(cache.metrics()->admission_rejects.load(), 1u);
+  EXPECT_EQ(cache.metrics()->oversize_rejects.load(), 1u);
+  EXPECT_EQ(cache.metrics()->admission_rejects.load(), 0u);
 }
 
 TEST(ResultCacheTest, ZeroBudgetDisablesInserts) {

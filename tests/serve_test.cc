@@ -1805,6 +1805,45 @@ TEST(ServeGoldenRejects, DeadlineIs504NotBad) {
   }
 }
 
+// An ε-override query runs on the tenant's workspace pool like every
+// other query, so pool_capacity bounds it: while the only workspace is
+// held it waits and times out (504, not bad), and once the workspace
+// is back it answers with the scores of a direct run at that ε. The
+// pool never builds a second workspace for it.
+TEST(ServePool, EpsilonOverrideWaitsOnTheTenantPool) {
+  ServiceOptions options = GoldenOptions();
+  options.pool_capacity = 1;
+  SimPushService service(testing_util::MakeFixtureGraph(), options);
+  auto generation = service.registry().Lease("default");
+  ASSERT_TRUE(generation.ok()) << generation.status().ToString();
+  WorkspacePool& pool = (*generation)->workspaces();
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/query";
+  request.body = R"j({"node":3,"epsilon":0.25,"deadline_ms":50})j";
+
+  WorkspaceLease held = pool.Acquire();
+  ASSERT_TRUE(held);
+  const uint64_t bad_before = RequestCounter(service, "bad");
+  const uint64_t expired_before = RequestCounter(service, "deadline_expired");
+  const HttpResponse waited = service.HandleQuery(request);
+  EXPECT_EQ(waited.status, 504) << waited.body;
+  EXPECT_EQ(RequestCounter(service, "deadline_expired"), expired_before + 1);
+  EXPECT_EQ(RequestCounter(service, "bad"), bad_before);
+  EXPECT_EQ(pool.created(), 1u);
+
+  held.Release();
+  const HttpResponse served = service.HandleQuery(request);
+  ASSERT_EQ(served.status, 200) << served.body;
+  SimPushOptions override_options = FastOptions();
+  override_options.epsilon = 0.25;
+  EXPECT_EQ(ScoresFromBody(served.body),
+            DirectScoresWith(testing_util::MakeFixtureGraph(),
+                             override_options, 3));
+  EXPECT_EQ(pool.created(), 1u);
+  EXPECT_EQ(pool.outstanding(), 0u);
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace simpush

@@ -3,6 +3,8 @@
 // probability as a SimRank estimator on analytic topologies.
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
@@ -52,7 +54,7 @@ TEST(WalkLawTest, DanglingNodeAlwaysStops) {
   }
 }
 
-TEST(WalkStatsTest, VisitCountsMatchExactHittingProbabilities) {
+TEST(WalkStatsTest, WalkVisitsMatchExactHittingProbabilities) {
   auto graph = GenerateChungLu(300, 2400, 2.4, 23);
   ASSERT_TRUE(graph.ok());
   const double sqrt_c = std::sqrt(0.6);
@@ -63,7 +65,14 @@ TEST(WalkStatsTest, VisitCountsMatchExactHittingProbabilities) {
   Walker walker(*graph, sqrt_c);
   Rng rng(31);
   const uint64_t kWalks = 200000;
-  VisitCounts counts = CountVisits(walker, u, kWalks, &rng);
+  // counts[l][v]: walks at node v after step l, for l <= 3.
+  std::vector<std::vector<uint64_t>> counts(
+      4, std::vector<uint64_t>(graph->num_nodes(), 0));
+  for (uint64_t i = 0; i < kWalks; ++i) {
+    walker.SampleWalkVisit(u, &rng, [&](uint32_t level, NodeId node) {
+      if (level <= 3) ++counts[level][node];
+    });
+  }
 
   // Every node with h >= 0.01 at levels 1..3 must be estimated within
   // 5σ of its exact probability.
@@ -71,7 +80,7 @@ TEST(WalkStatsTest, VisitCountsMatchExactHittingProbabilities) {
     for (NodeId v = 0; v < graph->num_nodes(); ++v) {
       const double h = exact[level][v];
       if (h < 0.01) continue;
-      const double estimate = double(counts.Count(level, v)) / kWalks;
+      const double estimate = double(counts[level][v]) / kWalks;
       const double sigma = std::sqrt(h * (1 - h) / kWalks);
       EXPECT_NEAR(estimate, h, 5 * sigma + 1e-4)
           << "level " << level << " node " << v;
@@ -125,20 +134,6 @@ TEST(PairMeetingTest, DisconnectedComponentsNeverMeet) {
   for (int i = 0; i < 10000; ++i) {
     ASSERT_FALSE(walker.PairWalkMeets(1, 7, &rng));
   }
-}
-
-TEST(VisitCountsTest, LevelAccessorsAreConsistent) {
-  VisitCounts counts;
-  counts.Record(1, 5);
-  counts.Record(1, 5);
-  counts.Record(3, 9);
-  EXPECT_EQ(counts.Count(1, 5), 2u);
-  EXPECT_EQ(counts.Count(1, 9), 0u);
-  EXPECT_EQ(counts.Count(2, 5), 0u);
-  EXPECT_EQ(counts.Count(3, 9), 1u);
-  EXPECT_EQ(counts.MaxLevel(), 3u);
-  EXPECT_EQ(counts.Level(1).size(), 1u);
-  EXPECT_TRUE(counts.Level(2).empty());
 }
 
 }  // namespace

@@ -114,30 +114,22 @@ TEST(WalkStatsTest, MonteCarloMatchesExactHitting) {
   Walker walker(g, kSqrtC);
   Rng rng(11);
   const uint64_t walks = 400000;
-  VisitCounts counts = CountVisits(walker, 0, walks, &rng);
+  // counts[l][v]: walks at node v after step l, for l <= 3.
+  std::vector<std::vector<uint64_t>> counts(
+      4, std::vector<uint64_t>(g.num_nodes(), 0));
+  for (uint64_t i = 0; i < walks; ++i) {
+    walker.SampleWalkVisit(0, &rng, [&](uint32_t level, NodeId node) {
+      if (level <= 3) ++counts[level][node];
+    });
+  }
   auto exact = ExactHittingProbabilities(g, 0, 3, kSqrtC);
   for (uint32_t level = 1; level <= 3; ++level) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const double estimated = double(counts.Count(level, v)) / walks;
+      const double estimated = double(counts[level][v]) / walks;
       EXPECT_NEAR(estimated, exact[level][v], 0.005)
           << "level " << level << " node " << v;
     }
   }
-}
-
-TEST(WalkStatsTest, VisitCountsAccessors) {
-  VisitCounts counts;
-  counts.Record(1, 5);
-  counts.Record(1, 5);
-  counts.Record(3, 2);
-  EXPECT_EQ(counts.Count(1, 5), 2u);
-  EXPECT_EQ(counts.Count(2, 5), 0u);
-  EXPECT_EQ(counts.Count(3, 2), 1u);
-  EXPECT_EQ(counts.MaxLevel(), 3u);
-  EXPECT_EQ(counts.Level(1).size(), 1u);
-  EXPECT_TRUE(counts.Level(9).empty());
-  counts.Record(0, 1);  // Level 0 records are ignored.
-  EXPECT_EQ(counts.Count(0, 1), 0u);
 }
 
 TEST(WalkerTest, WalkLengthForUniformCapAndInfinityEdge) {

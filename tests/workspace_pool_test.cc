@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/memory.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -48,14 +49,17 @@ TEST(WorkspacePoolTest, LeaseAccounting) {
   EXPECT_EQ(pool.outstanding(), 2u);
   EXPECT_NE(a.get(), b.get());
 
-  // Cap reached: non-blocking acquire must come back empty.
-  WorkspaceLease c = pool.TryAcquire();
+  // Cap reached: an acquire whose token has already fired does not
+  // wait, and comes back empty.
+  CancelToken fired;
+  fired.Cancel();
+  WorkspaceLease c = pool.Acquire(&fired);
   EXPECT_FALSE(c);
 
   a.Release();
   EXPECT_FALSE(a);
   EXPECT_EQ(pool.outstanding(), 1u);
-  WorkspaceLease d = pool.TryAcquire();
+  WorkspaceLease d = pool.Acquire(&fired);
   EXPECT_TRUE(d);
   // The released workspace is recycled, not rebuilt.
   EXPECT_EQ(pool.created(), 2u);
@@ -80,25 +84,26 @@ TEST(WorkspacePoolTest, AcquireBlocksUntilReturn) {
 
 TEST(WorkspacePoolTest, AnnotatedLocksSurviveAcquireReleaseStorm) {
   // The pool's mutex/condvar are the capability-annotated wrappers from
-  // common/annotations.h. This storm races blocking Acquire, TryAcquire
-  // and Release across more threads than workspaces so every wrapper
-  // path fires under contention — Lock, TryLock, CondVar::Wait's
-  // adopt/release dance, and the timed WaitFor used by the cancel-aware
-  // acquire. The TSan tier proves the wrappers kept std::mutex's
-  // happens-before edges; the accounting below proves no lease was
-  // double-issued or lost.
+  // common/annotations.h. This storm races blocking Acquire, the
+  // non-blocking Acquire with an already-fired token, and Release
+  // across more threads than workspaces, so Lock and CondVar::Wait's
+  // adopt/release dance fire under contention. The TSan tier proves
+  // the wrappers kept std::mutex's happens-before edges; the accounting
+  // below proves no lease was double-issued or lost.
   WorkspacePool pool(3);
   const size_t kThreads = 8;
   const int kRounds = 200;
   std::atomic<size_t> served{0};
   std::atomic<size_t> peak{0};
+  CancelToken fired;
+  fired.Cancel();
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         WorkspaceLease lease =
-            ((t + round) % 2 == 0) ? pool.Acquire() : pool.TryAcquire();
-        if (!lease) continue;  // TryAcquire under contention may miss.
+            ((t + round) % 2 == 0) ? pool.Acquire() : pool.Acquire(&fired);
+        if (!lease) continue;  // A fired-token acquire may miss.
         const size_t now = pool.outstanding();
         size_t seen = peak.load();
         while (now > seen && !peak.compare_exchange_weak(seen, now)) {

@@ -62,6 +62,13 @@ R6 one-request-pipeline
     simpush/parallel.h) appears nowhere under src/serve/: a batch that
     bypasses the single-source path would skip the result cache and
     the engine counters.
+
+    RunSingleSource runs every query in one form: one QueryRunner on
+    the generation's workspace pool, against the generation's core or a
+    throwaway core for an epsilon override. So a `QueryRunner <name>(`
+    declaration has exactly one site in service.cc, and QueryWorkspace
+    appears nowhere under src/serve/: a private workspace would run a
+    query outside the pool, unbounded by pool_capacity.
 """
 
 from __future__ import annotations
@@ -133,10 +140,20 @@ PIPELINE_SITES = {
     ),
     "cache->Get( call": re.compile(r"\bcache\s*->\s*Get\s*\("),
     "cache->Insert( call": re.compile(r"\bcache\s*->\s*Insert\s*\("),
+    "QueryRunner <name>( declaration": re.compile(
+        r"\bQueryRunner\s+\w+\s*\("
+    ),
 }
-# R6: the offline fan-out API the serve layer must not call.
+# R6: what the serve layer must not name, with the reason reported.
 SERVE_DIR = "src/serve/"
-SERVE_BANNED = re.compile(r"\b(?:ParallelQueryBatch\w*|ForEachQueryChunked)\b")
+SERVE_BANNED = {
+    re.compile(r"\b(?:ParallelQueryBatch\w*|ForEachQueryChunked)\b"):
+        "the serve layer runs every source through RunSingleSource; do "
+        "not fan out with the simpush/parallel.h batch API",
+    re.compile(r"\bQueryWorkspace\b"):
+        "the serve layer runs every query on the generation's workspace "
+        "pool; a private QueryWorkspace escapes pool_capacity",
+}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -262,13 +279,10 @@ class Linter:
                     )
         if rel.startswith(SERVE_DIR):
             for lineno, line in enumerate(code_lines, 1):
-                if SERVE_BANNED.search(line):
-                    self.report(
-                        path, lineno, "one-request-pipeline",
-                        "the serve layer runs every source through "
-                        "RunSingleSource; do not fan out with the "
-                        "simpush/parallel.h batch API",
-                    )
+                for pattern, message in SERVE_BANNED.items():
+                    if pattern.search(line):
+                        self.report(path, lineno, "one-request-pipeline",
+                                    message)
 
     def check_failpoints(self, failpoints: dict[str, set[str]]) -> None:
         if not CHAOS_TEST.exists():
