@@ -4,6 +4,8 @@
 // behind all of it: a query's RNG stream is derived from
 // (options.seed, query node) and per-query scratch never leaks state.
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -228,6 +230,46 @@ TEST(DeterminismTest, UnfiredTokenInvisibleToBatchedKernel) {
     ASSERT_EQ(bare[v], watched[v]) << "node " << v;
   }
   EXPECT_FALSE(token.cancelled());
+}
+
+// FNV-1a over the raw bits of every score plus the G_u shape stats of
+// each query: any change that moves one score bit (even within ε) or
+// resizes G_u changes the digest.
+uint64_t GoldenDigest(const SimPushOptions& options) {
+  auto graph = GenerateChungLu(5000, 40000, 2.4, 1501);
+  EXPECT_TRUE(graph.ok());
+  if (!graph.ok()) return 0;
+  const EngineCore core(*graph, options);
+  EXPECT_TRUE(core.options_status().ok());
+  QueryWorkspace scratch;
+  QueryRunner runner(core, &scratch);
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto mix = [&hash](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001B3ULL;
+    }
+  };
+  SimPushResult result;
+  for (const NodeId u : {0u, 1u, 17u, 256u, 999u, 2024u, 3333u, 4999u}) {
+    EXPECT_TRUE(runner.QueryInto(u, &result).ok()) << "query " << u;
+    for (const double score : result.scores) {
+      mix(std::bit_cast<uint64_t>(score));
+    }
+    mix(result.stats.max_level);
+    mix(result.stats.num_attention);
+    mix(result.stats.gu_node_occurrences);
+  }
+  return hash;
+}
+
+TEST(DeterminismTest, GoldenScoreBitsPinned) {
+  // Digests of the reference engine. A refactor of any stage must keep
+  // them: staying within ε is not enough, every score bit must hold.
+  SimPushOptions options = TestOptions();
+  EXPECT_EQ(GoldenDigest(options), 0x21849FD89EEF027AULL) << "default";
+  options.use_level_detection = false;
+  EXPECT_EQ(GoldenDigest(options), 0x1297DE2AD76861B7ULL) << "no detection";
 }
 
 }  // namespace
