@@ -1,4 +1,5 @@
-// Ablation study of SimPush's design choices (DESIGN.md §4):
+// Ablation study of SimPush's design choices (README.md, "Reproducing
+// the paper's experiments", bench_ablation row):
 //   (a) γ last-meeting correction on/off — off overestimates;
 //   (b) adaptive L detection vs always exploring L* — detection saves
 //       push levels with no accuracy loss;
@@ -37,10 +38,10 @@ double TimeSeparateReversePush(const Graph& graph, NodeId u, double eps,
   std::vector<double> scores(graph.num_nodes(), 0.0);
   QueryWorkspace workspace;
   // One single-attention G_u shell per occurrence.
+  SourceGraph single;
   for (AttentionId id = 0; id < gu->num_attention(); ++id) {
     const AttentionNode& w = gu->attention_nodes()[id];
-    SourceGraph single;
-    single.set_max_level(w.level);
+    single.Reset(w.level, graph.num_nodes());
     single.AddAttentionNode(w.node, w.level, w.hitting_prob);
     std::vector<double> single_gamma{gamma[id]};
     (void)ReversePush(graph, single, single_gamma, params.sqrt_c,

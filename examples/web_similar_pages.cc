@@ -27,7 +27,9 @@ int main() {
 
   SimPushOptions options;
   options.epsilon = 0.02;
-  options.walk_budget_cap = 100000;  // See DESIGN.md §6.
+  // Cap the worst-case level-detection walk formula for interactive
+  // latency; the cap moves only the choice of L, never a pushed value.
+  options.walk_budget_cap = 100000;
   // The serving shape: one immutable EngineCore shared by every request
   // thread, and a bounded pool of per-query workspaces. This stream is
   // single-threaded, so one pooled workspace serves every request; a

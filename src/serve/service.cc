@@ -10,10 +10,10 @@
 
 #include "common/memory.h"
 #include "common/thread_pool.h"
-#include "eval/metrics.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "serve/json.h"
+#include "simpush/topk.h"
 
 namespace simpush {
 namespace serve {
@@ -74,31 +74,14 @@ StatusOr<JsonValue> ParseObject(std::string_view body) {
   return doc;
 }
 
-// One response's top-k entries (node, score), highest score first.
-using TopEntries = std::vector<std::pair<NodeId, double>>;
-
-// The selection behind every "top" array (/v1/query with top_k,
-// /v1/topk, /v1/batch). TopK sorts descending with ties to the smaller
-// id, so the first zero ends the useful prefix — matching QueryTopK,
-// which never reports zero-score nodes.
-TopEntries SelectTopEntries(const std::vector<double>& scores, size_t k,
-                            NodeId exclude) {
-  TopEntries top;
-  for (NodeId v : TopK(scores, k, exclude)) {
-    if (scores[v] <= 0.0) break;
-    top.emplace_back(v, scores[v]);
-  }
-  return top;
-}
-
-void WriteTopEntries(JsonWriter* writer, const TopEntries& top) {
+void WriteTopEntries(JsonWriter* writer, const std::vector<TopKEntry>& top) {
   writer->BeginArray();
-  for (const auto& [v, score] : top) {
+  for (const TopKEntry& entry : top) {
     writer->BeginObject();
     writer->Key("node");
-    writer->Uint(v);
+    writer->Uint(entry.node);
     writer->Key("score");
-    writer->Double(score);
+    writer->Double(entry.score);
     writer->EndObject();
   }
   writer->EndArray();
@@ -735,12 +718,11 @@ SimPushService::MaybeError SimPushService::ParseQueryRequest(
 Status SimPushService::ExecuteSingle(const QueryRequest& query,
                                      const CancelToken* cancel,
                                      JsonWriter* writer) {
-  // Reused per HTTP worker thread: after warm-up the query path below
-  // performs zero heap allocations (see serve_test's alloc-hook check).
-  // Override requests also build a throwaway core for their ε (see
-  // RunSingleSource). QueryTopK would allocate a fresh O(n) score
-  // vector per request, and SelectTopEntries picks the identical
-  // entries (self and zero scores excluded, ties to the smaller id).
+  // Reused per HTTP worker thread: after warm-up the full-vector query
+  // path below performs zero heap allocations (see serve_test's
+  // alloc-hook check). A top-k answer allocates in SelectTopK (its
+  // candidate list and the k entries), and an override request builds
+  // a throwaway core for its ε (see RunSingleSource).
   static thread_local SimPushResult result;
   const GraphGeneration& generation = *query.lease;
   const NodeId u = query.nodes[0];
@@ -772,7 +754,7 @@ Status SimPushService::ExecuteSingle(const QueryRequest& query,
   }
   if (topk || query.k > 0) {
     writer->Key("top");
-    WriteTopEntries(writer, SelectTopEntries(result.scores, query.k, u));
+    WriteTopEntries(writer, SelectTopK(result.scores, u, query.k));
   } else {
     writer->Key("scores");
     writer->BeginArray();
@@ -819,7 +801,7 @@ Status SimPushService::ExecuteBatch(const QueryRequest& query,
   // the sources not yet started and stops running ones inside their
   // push loops.
   const GraphGeneration& generation = *query.lease;
-  std::vector<TopEntries> tops(unique_nodes.size());
+  std::vector<std::vector<TopKEntry>> tops(unique_nodes.size());
   Mutex error_mu;
   Status error;  // Guarded by error_mu (locals cannot be annotated).
   Timer wall;
@@ -835,7 +817,7 @@ Status SimPushService::ExecuteBatch(const QueryRequest& query,
                   error = cached.status();
                   return;
                 }
-                tops[i] = SelectTopEntries(result.scores, query.k, u);
+                tops[i] = SelectTopK(result.scores, u, query.k);
               });
   const double wall_ms = wall.ElapsedSeconds() * 1e3;
   // A fired token wins over a source's error: the batch answers with

@@ -83,31 +83,28 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   //                 its packed pool-span bounds (begin << 32 | end), so
   //                 a pull reads the holder's entries after ONE random
   //                 access (no NodeSpan chase, no hashing);
-  //   member_marks — nodes present on the current level of G_u;
   //   receiver_marks — current-level nodes already queued for a pull.
-  // Receivers are discovered by scanning the holders' out-edges, so a
-  // level's cost is Σ outdeg(holders) + Σ indeg(receivers) instead of
-  // an O(|G_u level|) sweep — holders cluster near the attention set.
+  // Membership of the current level is G_u's own bitmask (O(1)
+  // Contains). Receivers are discovered by scanning the holders'
+  // out-edges, so a level's cost is Σ outdeg(holders) + Σ
+  // indeg(receivers) instead of an O(|G_u level|) sweep — holders
+  // cluster near the attention set.
   EpochArray<uint64_t>& holder_span = workspace->holder_span;
-  EpochArray<uint8_t>& member_marks = workspace->member_marks;
   EpochArray<uint8_t>& receiver_marks = workspace->receiver_marks;
   std::vector<NodeId>& receivers = workspace->receivers;
 
   // Self entries at the deepest level: h̃^(0)(w, w) = 1 for attention w
   // at levels 2..L (level-1 attention nodes are never ρ-targets).
-  // Attention ids are appended in node order by Source-Push, so the
-  // resulting NodeSpans are already sorted by node.
+  // Attention ids of a level ascend with their node, so the NodeSpans
+  // come out sorted by node.
   {
     HittingTable::LevelVectors& deepest = table->per_level_[max_level];
     for (AttentionId id : gu.AttentionOnLevel(max_level)) {
-      const AttentionNode& a = gu.attention_nodes()[id];
       const uint32_t begin = static_cast<uint32_t>(deepest.pool.size());
       deepest.pool.emplace_back(id, 1.0);
-      deepest.nodes.push_back({a.node, begin, begin + 1});
+      deepest.nodes.push_back(
+          {gu.attention_nodes()[id].node, begin, begin + 1});
     }
-    std::sort(deepest.nodes.begin(), deepest.nodes.end(),
-              [](const HittingTable::NodeSpan& a,
-                 const HittingTable::NodeSpan& b) { return a.node < b.node; });
   }
 
   // Pull from level+1 into level, for level = L-1 .. 1.
@@ -116,17 +113,12 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
     const HittingTable::LevelVectors& above = table->per_level_[level + 1];
     HittingTable::LevelVectors& here = table->per_level_[level];
     holder_span.BeginEpoch();
-    member_marks.BeginEpoch();
     receiver_marks.BeginEpoch();
     for (const HittingTable::NodeSpan& holder : above.nodes) {
       // end > begin for every stored span, so a packed value is never 0
       // and Get() == 0 cleanly reads as "not a holder".
       holder_span.Set(holder.node, (static_cast<uint64_t>(holder.begin) << 32) |
                                        holder.end);
-    }
-    for (const auto& [node, h] : gu.Level(level)) {
-      (void)h;
-      member_marks.Set(node, 1);
     }
     // Receivers: current-level nodes with at least one holder
     // in-neighbor, found via the holders' out-edges; plus this level's
@@ -135,7 +127,7 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
     receivers.clear();
     for (const HittingTable::NodeSpan& holder : above.nodes) {
       for (NodeId v : graph.OutNeighbors(holder.node)) {
-        if (member_marks.IsSet(v) && !receiver_marks.IsSet(v)) {
+        if (gu.Contains(level, v) && !receiver_marks.IsSet(v)) {
           receiver_marks.Set(v, 1);
           receivers.push_back(v);
         }

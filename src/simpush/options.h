@@ -24,9 +24,9 @@ struct SimPushOptions {
 
   /// Optional cap on the number of level-detection √c-walks. 0 means
   /// "use the paper's worst-case formula". The cap only affects the
-  /// adaptive choice of L (never the pushed probabilities); see
-  /// DESIGN.md §6 — the worst-case constant is ~9M walks at ε = 0.02,
-  /// far beyond what the paper's reported query times could include.
+  /// adaptive choice of L (never the pushed probabilities): the
+  /// worst-case constant is ~9M walks at ε = 0.02, far beyond what the
+  /// paper's reported query times could include.
   uint64_t walk_budget_cap = 0;
 
   /// Ablation: when false, skip walk-based level detection and always

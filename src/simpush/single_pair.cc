@@ -42,14 +42,10 @@ StatusOr<SinglePairSession> SinglePairSession::Create(
   session.residues_.assign(gu->max_level(), {});
   for (AttentionId id = 0; id < gu->num_attention(); ++id) {
     const AttentionNode& attention = gu->attention_nodes()[id];
-    // Levels are 1..L; store at index level-1.
+    // Levels are 1..L; store at index level-1. Attention occurrences
+    // arrive in node order per level, which Estimate's lookup needs.
     session.residues_[attention.level - 1].emplace_back(
         attention.node, attention.hitting_prob * gamma[id]);
-  }
-  // Attention occurrences arrive in node order per level already, but
-  // sort defensively — Estimate's lookup relies on it.
-  for (auto& level : session.residues_) {
-    std::sort(level.begin(), level.end());
   }
 
   // Hoeffding walk budget: each walk's accumulated residue lies in

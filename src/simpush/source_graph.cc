@@ -4,114 +4,35 @@
 
 namespace simpush {
 
-namespace {
-const SourceGraph::LevelEntries kEmptyLevel;
-const std::vector<AttentionId> kEmptyAttention;
-}  // namespace
-
-void SourceGraph::Reset(uint32_t max_level) {
-  for (uint32_t level = 0; level <= max_level_ && level < levels_.size();
-       ++level) {
-    levels_[level].clear();
-  }
-  for (auto& ids : attention_on_level_) ids.clear();
+void SourceGraph::Reset(uint32_t max_level, NodeId num_nodes) {
+  max_level_ = max_level;
+  words_ = (static_cast<size_t>(num_nodes) + 63) / 64;
+  bits_.assign((max_level + 1) * words_, 0);
   attention_.clear();
-  std::fill(attention_level_sorted_.begin(), attention_level_sorted_.end(),
-            uint8_t{1});
-  set_max_level(max_level);
-}
-
-void SourceGraph::SortLevel(uint32_t level) {
-  std::sort(levels_[level].begin(), levels_[level].end());
-}
-
-const SourceGraph::LevelEntries& SourceGraph::Level(uint32_t level) const {
-  if (level >= levels_.size()) return kEmptyLevel;
-  return levels_[level];
-}
-
-double SourceGraph::HittingProb(uint32_t level, NodeId v) const {
-  // Levels are small relative to the graph and this is not on the query
-  // hot path (which iterates levels instead), so a linear scan keeps the
-  // sortedness requirement out of the API.
-  for (const auto& [node, h] : Level(level)) {
-    if (node == v) return h;
-  }
-  return 0.0;
-}
-
-bool SourceGraph::Contains(uint32_t level, NodeId v) const {
-  for (const auto& [node, h] : Level(level)) {
-    (void)h;
-    if (node == v) return true;
-  }
-  return false;
+  level_begin_.assign(max_level + 2, 0);
 }
 
 AttentionId SourceGraph::AddAttentionNode(NodeId node, uint32_t level,
                                           double h) {
   const AttentionId id = static_cast<AttentionId>(attention_.size());
   attention_.push_back({node, level, h});
-  if (attention_on_level_.size() <= level) {
-    attention_on_level_.resize(level + 1);
-    attention_level_sorted_.resize(level + 1, uint8_t{1});
+  // Every deeper level now begins after this id.
+  for (uint32_t l = level + 1; l < level_begin_.size(); ++l) {
+    level_begin_[l] = id + 1;
   }
-  auto& ids = attention_on_level_[level];
-  if (!ids.empty() && attention_[ids.back()].node >= node) {
-    attention_level_sorted_[level] = 0;
-  }
-  ids.push_back(id);
   return id;
-}
-
-const std::vector<AttentionId>& SourceGraph::AttentionOnLevel(
-    uint32_t level) const {
-  if (level >= attention_on_level_.size()) return kEmptyAttention;
-  return attention_on_level_[level];
 }
 
 bool SourceGraph::LookupAttention(uint32_t level, NodeId node,
                                   AttentionId* id) const {
-  if (level >= attention_on_level_.size()) return false;
-  const auto& ids = attention_on_level_[level];
-  if (attention_level_sorted_[level]) {
-    auto it = std::lower_bound(ids.begin(), ids.end(), node,
-                               [this](AttentionId a, NodeId n) {
-                                 return attention_[a].node < n;
-                               });
-    if (it == ids.end() || attention_[*it].node != node) return false;
-    *id = *it;
-    return true;
-  }
-  for (AttentionId candidate : ids) {
-    if (attention_[candidate].node == node) {
-      *id = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t SourceGraph::TotalNodeOccurrences() const {
-  size_t total = 0;
-  for (uint32_t level = 1; level <= max_level_ && level < levels_.size();
-       ++level) {
-    total += levels_[level].size();
-  }
-  return total;
-}
-
-size_t SourceGraph::CountEdges(const Graph& graph) const {
-  size_t total = 0;
-  // Nodes on the last level have no G_u in-neighbors (Source-Push never
-  // pushed beyond level L), so only levels 0..L-1 contribute.
-  for (uint32_t level = 0; level + 1 <= max_level_; ++level) {
-    for (const auto& [node, h] : Level(level)) {
-      (void)h;
-      total += graph.InDegree(node);
-    }
-  }
-  return total;
+  const auto first = attention_.begin() + LevelBegin(level);
+  const auto last = attention_.begin() + LevelBegin(level + 1);
+  const auto it = std::lower_bound(
+      first, last, node,
+      [](const AttentionNode& a, NodeId n) { return a.node < n; });
+  if (it == last || it->node != node) return false;
+  *id = static_cast<AttentionId>(it - attention_.begin());
+  return true;
 }
 
 }  // namespace simpush

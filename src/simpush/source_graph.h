@@ -9,16 +9,21 @@
 // restricted to consecutive level sets *is* the G_u adjacency, which is
 // how Algorithms 3–4 traverse it.
 //
-// Storage is flat: each level is a vector of (node, h) pairs and the
-// attention sets are id vectors, all of which keep their capacity across
-// Reset() so a long-lived engine rebuilds G_u every query without
-// touching the heap.
+// Algorithms 3–5 read only two things from G_u: which nodes sit on each
+// level, and the attention occurrences (h ≥ ε_h) with their h. That is
+// all it stores: one flat membership bitmask of ⌈n/64⌉ words per level
+// 0..L (O(L·n/8) bytes, O(1) Contains), and the attention occurrences,
+// appended level by level in ascending node order. That order is the
+// one rule: ids of a level are contiguous and sorted by node, so lookups
+// binary search and no consumer sorts. Buffers keep their capacity
+// across Reset(), so a long-lived engine rebuilds G_u every query
+// without touching the heap.
 
 #ifndef SIMPUSH_SIMPUSH_SOURCE_GRAPH_H_
 #define SIMPUSH_SIMPUSH_SOURCE_GRAPH_H_
 
 #include <cstdint>
-#include <utility>
+#include <ranges>
 #include <vector>
 
 #include "graph/graph.h"
@@ -40,74 +45,57 @@ struct AttentionNode {
 /// Level-structured source graph G_u plus the attention sets A_u^(ℓ).
 class SourceGraph {
  public:
-  /// (node, h^(ℓ)(u, node)) pairs of one level.
-  using LevelEntries = std::vector<std::pair<NodeId, double>>;
-
   /// Max level L (levels are 0..L; level 0 is the query node).
   uint32_t max_level() const { return max_level_; }
-  void set_max_level(uint32_t level) {
-    max_level_ = level;
-    if (levels_.size() < level + 1) levels_.resize(level + 1);
+
+  /// Empties G_u for an n-node graph with levels 0..max_level: zeroes
+  /// the (L+1)·⌈n/64⌉ membership words and drops every attention
+  /// occurrence, keeping all capacity.
+  void Reset(uint32_t max_level, NodeId num_nodes);
+
+  /// Membership words of level ℓ ≤ L: bit v%64 of word v/64 is set iff v
+  /// is on level ℓ. Source-Push writes them directly.
+  uint64_t* LevelBits(uint32_t level) { return &bits_[level * words_]; }
+
+  /// True iff v is on level ℓ of G_u. O(1).
+  bool Contains(uint32_t level, NodeId v) const {
+    return level <= max_level_ && (v >> 6) < words_ &&
+           (bits_[level * words_ + (v >> 6)] >> (v & 63) & 1) != 0;
   }
-
-  /// Clears all contents (levels, attention sets) while keeping every
-  /// buffer's capacity, then sets the new max level. O(L) — not O(n).
-  void Reset(uint32_t max_level);
-
-  /// Appends one (node, h) entry to a level. Entries within a level must
-  /// be unique and are appended in ascending node order by Source-Push
-  /// (its frontiers are kept sorted), so lookups can assume node order;
-  /// bulk writers appending out of order must call SortLevel after.
-  void AddEntry(uint32_t level, NodeId node, double h) {
-    levels_[level].emplace_back(node, h);
-  }
-
-  /// Sorts a level's entries by node id (after bulk appends).
-  void SortLevel(uint32_t level);
-
-  /// Entries of one level; empty for levels beyond max_level().
-  const LevelEntries& Level(uint32_t level) const;
-
-  /// h^(ℓ)(u, v); 0 when v is not on level ℓ of G_u.
-  double HittingProb(uint32_t level, NodeId v) const;
-
-  /// True iff v appears on level ℓ of G_u.
-  bool Contains(uint32_t level, NodeId v) const;
 
   /// Registers an attention-node occurrence; returns its dense id.
+  /// Occurrences must arrive level by level, ascending by node within a
+  /// level.
   AttentionId AddAttentionNode(NodeId node, uint32_t level, double h);
 
   /// All attention occurrences, id-indexed.
   const std::vector<AttentionNode>& attention_nodes() const {
     return attention_;
   }
-  /// Attention ids on level ℓ (A_u^(ℓ)).
-  const std::vector<AttentionId>& AttentionOnLevel(uint32_t level) const;
+  size_t num_attention() const { return attention_.size(); }
+
+  /// Attention ids on level ℓ (A_u^(ℓ)), ascending by node.
+  auto AttentionOnLevel(uint32_t level) const {
+    return std::views::iota(LevelBegin(level), LevelBegin(level + 1));
+  }
 
   /// Dense attention id of (level, node); returns false if not attention.
   bool LookupAttention(uint32_t level, NodeId node, AttentionId* id) const;
 
-  size_t num_attention() const { return attention_.size(); }
-
-  /// Total node occurrences across levels 1..L (|G_u| minus the root).
-  size_t TotalNodeOccurrences() const;
-
-  /// Number of G_u edges: for every node v on level ℓ in [0, L-1] with
-  /// in-neighbors, d_I(v) edges arrive from level ℓ+1.
-  size_t CountEdges(const Graph& graph) const;
-
  private:
+  AttentionId LevelBegin(uint32_t level) const {
+    return level < level_begin_.size() ? level_begin_[level]
+                                       : static_cast<AttentionId>(
+                                             attention_.size());
+  }
+
   uint32_t max_level_ = 0;
-  // levels_[ℓ]: (node, h^(ℓ)(u, node)). levels_[0] = { (u, 1.0) }.
-  // Sized to the largest max level ever seen; inner vectors pooled.
-  std::vector<LevelEntries> levels_;
+  size_t words_ = 0;             // ⌈n/64⌉ membership words per level.
+  std::vector<uint64_t> bits_;   // Level ℓ at [ℓ·words_, (ℓ+1)·words_).
   std::vector<AttentionNode> attention_;
-  // attention_on_level_[ℓ]: ids of attention occurrences at level ℓ.
-  // Ids appended in node order when Source-Push builds the graph, which
-  // enables binary-search lookup; hand-built graphs that insert out of
-  // order fall back to a linear scan (tracked per level).
-  std::vector<std::vector<AttentionId>> attention_on_level_;
-  std::vector<uint8_t> attention_level_sorted_;
+  // level_begin_[ℓ]: first attention id on level ℓ (ids of level ℓ end
+  // where level ℓ+1 begins); sized L+2 by Reset.
+  std::vector<AttentionId> level_begin_;
 };
 
 }  // namespace simpush

@@ -87,42 +87,35 @@ Status SourcePushInto(const Graph& graph, NodeId u,
   // propagation itself is cheap for one level, so explore at least 1.
   max_level = std::max<uint32_t>(max_level, 1);
 
-  gu->Reset(max_level);
-  gu->AddEntry(0, u, 1.0);
+  gu->Reset(max_level, graph.num_nodes());
+  gu->LevelBits(0)[u >> 6] |= uint64_t{1} << (u & 63);
 
   // Lines 9-19: level-wise propagation h^(ℓ+1)(u, v') += √c·h^(ℓ)(u,v)/d_I(v)
   // for every in-neighbor v' of every frontier node v. The inner loop
-  // runs on the workspace's epoch-stamped dense arrays with a touched
-  // list (hash maps per level would dominate query time on dense
-  // graphs); each finished level is then compacted into G_u's flat
-  // per-level entries in one pass.
+  // runs on the workspace's epoch-stamped dense arrays (hash maps per
+  // level would dominate query time on dense graphs) and ORs each
+  // in-neighbor into level ℓ+1's membership bits — unconditionally, no
+  // was-it-set branch, no push per first touch.
   EpochArray<double>& current = workspace->dense_a;
   EpochArray<double>& next = workspace->dense_b;
   std::vector<NodeId>& frontier = workspace->frontier_a;
   std::vector<NodeId>& frontier_next = workspace->frontier_b;
-  // Touched-node bitmask: the scatter marks next-level members with an
-  // unconditional OR (no was-it-set branch, no push per first touch),
-  // and the per-level emit scan walks set bits in node order — the next
-  // frontier comes out ascending by construction, replacing the
-  // per-level sort. The accumulation order over in-edges is unchanged
-  // (sorted frontier × in-CSR order), so the float sums are bit-for-bit
-  // the same as with the sorted-push scheme.
   const size_t words = (static_cast<size_t>(graph.num_nodes()) + 63) / 64;
-  std::vector<uint64_t>& bits = workspace->scratch_bits;
-  bits.assign(words, 0);  // Clean even after a cancelled predecessor.
   current.BeginEpoch();
   next.BeginEpoch();
   frontier.clear();
   frontier.push_back(u);
   current.Set(u, 1.0);
+  size_t occurrences = 0;
   uint32_t since_poll = 0;
   for (uint32_t level = 0; level < max_level; ++level) {
     if (frontier.empty()) break;
+    uint64_t* bits = gu->LevelBits(level + 1);
     size_t wlo = words, whi = 0;
     for (size_t i = 0; i < frontier.size(); ++i) {
       // Per-occurrence cancellation stride (same contract as the walk
       // loop above: a poll reads state only). A cancelled return leaves
-      // set bits behind; every consumer re-zeroes the mask on entry.
+      // a partial G_u, which the next Reset() wipes.
       if (++since_poll >= kCancelCheckStride) {
         since_poll = 0;
         SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
@@ -144,23 +137,24 @@ Status SourcePushInto(const Graph& graph, NodeId u,
         if (w > whi) whi = w;
       }
     }
-    // Canonical (ascending) frontier order: makes the next level's
-    // traversal sequential over the in-CSR, makes the accumulation
-    // order — and hence the float sums — a function of the graph alone
-    // (never of discovery order), and appends the level's entries
-    // already sorted by node, so no per-level SortLevel pass.
+    // Emit scan over the level's set bits, in node order: the next
+    // frontier comes out ascending by construction (no sort), which
+    // makes the next level's traversal sequential over the in-CSR and
+    // the accumulation order — hence the float sums — a function of the
+    // graph alone. While h is at hand the scan also counts the level's
+    // occurrences and picks its attention nodes (lines 20-21:
+    // h^(ℓ)(u, w) >= ε_h), appending them in node order as SourceGraph
+    // requires.
     frontier_next.clear();
     for (size_t wi = wlo; wi <= whi; ++wi) {
-      uint64_t m = bits[wi];
-      if (m == 0) continue;
-      bits[wi] = 0;
-      do {
+      for (uint64_t m = bits[wi]; m != 0; m &= m - 1) {
         const NodeId vp = static_cast<NodeId>(wi * 64 + std::countr_zero(m));
-        m &= m - 1;
         frontier_next.push_back(vp);
-        gu->AddEntry(level + 1, vp, next.RawRef(vp));
-      } while (m != 0);
+        const double h = next.RawRef(vp);
+        if (h >= params.eps_h) gu->AddAttentionNode(vp, level + 1, h);
+      }
     }
+    occurrences += frontier_next.size();
     // The consumed level's stamps are wiped in O(1) so the array can be
     // reused as the next level's accumulator after the swap.
     current.BeginEpoch();
@@ -168,21 +162,10 @@ Status SourcePushInto(const Graph& graph, NodeId u,
     std::swap(frontier, frontier_next);
   }
 
-  // Lines 20-21: attention nodes are those with h^(ℓ)(u, w) >= ε_h.
-  // Levels are sorted by node, so per-level attention ids are appended
-  // in node order and LookupAttention can binary search.
-  for (uint32_t level = 1; level <= max_level; ++level) {
-    for (const auto& [node, h] : gu->Level(level)) {
-      if (h >= params.eps_h) {
-        gu->AddAttentionNode(node, level, h);
-      }
-    }
-  }
-
   if (stats != nullptr) {
     stats->detected_level = max_level;
     stats->walks_sampled = walks;
-    stats->gu_node_occurrences = gu->TotalNodeOccurrences();
+    stats->gu_node_occurrences = occurrences;
     stats->num_attention = gu->num_attention();
   }
   return Status::OK();

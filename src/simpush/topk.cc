@@ -4,14 +4,9 @@
 
 namespace simpush {
 
-StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
-  SIMPUSH_ASSIGN_OR_RETURN(SimPushResult full, runner->Query(u));
-  TopKResult result;
-  result.stats = full.stats;
-
-  const std::vector<double>& scores = full.scores;
+std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores,
+                                  NodeId u, size_t k) {
   std::vector<NodeId> order;
-  order.reserve(scores.size());
   for (NodeId v = 0; v < scores.size(); ++v) {
     if (v != u && scores[v] > 0.0) order.push_back(v);
   }
@@ -23,11 +18,16 @@ StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
                       }
                       return a < b;
                     });
-  result.entries.reserve(take);
+  std::vector<TopKEntry> entries(take);
   for (size_t i = 0; i < take; ++i) {
-    result.entries.push_back({order[i], scores[order[i]]});
+    entries[i] = {order[i], scores[order[i]]};
   }
-  return result;
+  return entries;
+}
+
+StatusOr<TopKResult> QueryTopK(QueryRunner* runner, NodeId u, size_t k) {
+  SIMPUSH_ASSIGN_OR_RETURN(SimPushResult full, runner->Query(u));
+  return TopKResult{SelectTopK(full.scores, u, k), full.stats};
 }
 
 }  // namespace simpush

@@ -25,6 +25,13 @@ struct TopKResult {
   SimPushQueryStats stats;
 };
 
+/// The selection behind every top-k answer (QueryTopK and the serve
+/// endpoints): the k highest-scoring nodes of u's score vector,
+/// descending with ties to the smaller id. u itself and zero scores are
+/// excluded, so fewer than k entries can come back.
+std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores,
+                                  NodeId u, size_t k);
+
 /// Answers a top-k single-source query (the query node itself, whose
 /// s = 1 trivially, is excluded). An entry's score carries the same
 /// ±ε guarantee as SimPushEngine::Query; ranking inversions are

@@ -6,10 +6,12 @@
 //   Source-Push (Alg. 2)   — level_tally (walk level detection),
 //                            dense_a/dense_b + frontier_a/frontier_b
 //                            (level-wise residue propagation),
-//                            source_graph (the G_u being built).
-//   Hitting (Alg. 3)       — holder_span/member_marks/receiver_marks,
-//                            receivers, attention_accum/scratch_bits,
-//                            hitting_table.
+//                            source_graph (the G_u being built: level
+//                            membership bits + attention occurrences).
+//   Hitting (Alg. 3)       — holder_span/receiver_marks, receivers,
+//                            attention_accum/scratch_bits,
+//                            hitting_table; membership is read from
+//                            source_graph.
 //   Last-meeting (Alg. 4)  — gamma_scratch, gamma.
 //   Reverse-Push (Alg. 5)  — dense_a/dense_b + frontier_a/frontier_b
 //                            again (the stages are sequential).
@@ -100,21 +102,19 @@ class QueryWorkspace {
   // --- Hitting-table construction. holder_span maps a node of level
   // ℓ+1 holding a nonzero vector to its packed pool-span bounds
   // (begin << 32 | end) — the pull loop reads the span in ONE random
-  // access instead of index-then-NodeSpan chasing; member/receiver
-  // marks track the current level's G_u membership and queued pulls.
+  // access instead of index-then-NodeSpan chasing; receiver marks
+  // track the current level's queued pulls.
   EpochArray<uint64_t> holder_span;
-  EpochArray<uint8_t> member_marks;
   EpochArray<uint8_t> receiver_marks;
   std::vector<NodeId> receivers;
   std::vector<double> attention_accum;    // Zero-restored after each use.
 
-  // --- Touched-set bitmask, shared by the Source-Push frontier scatter
-  // (node-indexed) and the hitting pull merge (attention-id-indexed);
-  // the stages run sequentially and each re-zeroes it on entry
-  // (assign() reuses capacity, so steady state stays allocation-free).
-  // Scatter loops OR into it unconditionally — no per-write branch —
-  // and the emit scan walks set bits in index order, which both
-  // restores the zeros and yields sorted output without a sort.
+  // --- Touched-set bitmask of the hitting pull merge, indexed by
+  // attention id; re-zeroed on entry (assign() reuses capacity, so
+  // steady state stays allocation-free). The merge ORs into it
+  // unconditionally — no per-write branch — and the emit scan walks
+  // set bits in id order, which both restores the zeros and yields
+  // sorted output without a sort.
   std::vector<uint64_t> scratch_bits;
 
   // --- Last-meeting probabilities.

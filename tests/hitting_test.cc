@@ -49,8 +49,8 @@ double BruteForceHitting(const Graph& graph, const SourceGraph& gu,
   values.emplace(t.node, 1.0);
   for (uint32_t l = t.level; l > from_level; --l) {
     std::unordered_map<NodeId, double> next;
-    for (const auto& [node, h] : gu.Level(l - 1)) {
-      (void)h;
+    for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+      if (!gu.Contains(l - 1, node)) continue;
       const uint32_t deg = graph.InDegree(node);
       if (deg == 0) continue;
       double acc = 0;
@@ -122,8 +122,8 @@ TEST(HittingTest, VectorsSortedById) {
   Fixture f = MakeFixture(g, 3, 0.05, 61);
   HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
   for (uint32_t level = 1; level <= f.gu.max_level(); ++level) {
-    for (const auto& [node, h] : f.gu.Level(level)) {
-      (void)h;
+    for (NodeId node = 0; node < g.num_nodes(); ++node) {
+      if (!f.gu.Contains(level, node)) continue;
       const HittingVector& vec = table.VectorAt(level, node);
       for (size_t i = 1; i < vec.size(); ++i) {
         EXPECT_LT(vec[i - 1].first, vec[i].first);

@@ -12,6 +12,7 @@
 #include "simpush/last_meeting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "walk/walk_stats.h"
 
 namespace simpush {
 namespace {
@@ -55,30 +56,53 @@ TEST(Lemma2Test, AttentionCountAndDepthBounds) {
 
 TEST(Lemma2Test, LevelMassIsAtMostSqrtCPowEll) {
   // Σ_w h^(ℓ)(u, w) = √c^ℓ when no walk can die; ≤ in general
-  // (dangling in-neighborhoods absorb mass).
+  // (dangling in-neighborhoods absorb mass). G_u's members are exactly
+  // the support of the exact h^(ℓ), and its attention nodes carry the
+  // exact h, so their stored mass is bounded too.
   auto graph = GenerateChungLu(1000, 8000, 2.4, 9);
   ASSERT_TRUE(graph.ok());
   SourceRun run = RunSourcePush(*graph, 11, 0.02);
   const double sqrt_c = run.params.sqrt_c;
+  const auto exact =
+      ExactHittingProbabilities(*graph, 11, run.gu.max_level(), sqrt_c);
   for (uint32_t level = 1; level <= run.gu.max_level(); ++level) {
     double mass = 0;
-    for (const auto& [node, h] : run.gu.Level(level)) mass += h;
+    for (NodeId v = 0; v < graph->num_nodes(); ++v) {
+      ASSERT_EQ(run.gu.Contains(level, v), exact[level][v] > 0)
+          << "level " << level << " node " << v;
+      mass += exact[level][v];
+    }
+    double attention_mass = 0;
+    for (AttentionId id : run.gu.AttentionOnLevel(level)) {
+      const AttentionNode& w = run.gu.attention_nodes()[id];
+      EXPECT_NEAR(w.hitting_prob, exact[level][w.node], 1e-12);
+      attention_mass += w.hitting_prob;
+    }
     EXPECT_LE(mass, std::pow(sqrt_c, level) + 1e-9) << "level " << level;
+    EXPECT_LE(attention_mass, mass + 1e-9) << "level " << level;
   }
 }
 
 TEST(Lemma2Test, LevelMassExactOnCycle) {
   // Every cycle node has exactly one in-neighbor: no mass is ever lost,
-  // so the level mass is exactly √c^ℓ (all of it on one node).
+  // so the level mass is exactly √c^ℓ, all of it on one node — which is
+  // therefore an attention node on every level ℓ ≤ L*.
   auto cycle = GenerateCycle(64);
   ASSERT_TRUE(cycle.ok());
   SourceRun run = RunSourcePush(*cycle, 0, 0.02);
   const double sqrt_c = run.params.sqrt_c;
   ASSERT_GE(run.gu.max_level(), 1u);
   for (uint32_t level = 1; level <= run.gu.max_level(); ++level) {
-    ASSERT_EQ(run.gu.Level(level).size(), 1u);
-    const double h = run.gu.Level(level).begin()->second;
-    EXPECT_NEAR(h, std::pow(sqrt_c, level), 1e-12) << "level " << level;
+    const NodeId expected = (64 - level % 64) % 64;
+    for (NodeId v = 0; v < 64; ++v) {
+      ASSERT_EQ(run.gu.Contains(level, v), v == expected)
+          << "level " << level << " node " << v;
+    }
+    AttentionId id;
+    ASSERT_TRUE(run.gu.LookupAttention(level, expected, &id));
+    EXPECT_NEAR(run.gu.attention_nodes()[id].hitting_prob,
+                std::pow(sqrt_c, level), 1e-12)
+        << "level " << level;
   }
 }
 

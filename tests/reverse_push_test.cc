@@ -61,11 +61,10 @@ TEST(ReversePushTest, ZeroEpsHThresholdConservesResidueMass) {
   // that pushing a single unit residue from an attention node at level 1
   // delivers exactly √c (no sinks on the fixture's relevant nodes).
   Graph g = testing_util::MakeFixtureGraph();
+  // ReversePush reads only G_u's attention occurrences.
   SourceGraph gu;
-  gu.set_max_level(1);
-  gu.AddEntry(0, 0, 1.0);
+  gu.Reset(1, g.num_nodes());
   // Node 9 has out-neighbors {5, 6} in the fixture graph.
-  gu.AddEntry(1, 9, 1.0);
   gu.AddAttentionNode(9, 1, 1.0);
   std::vector<double> gamma{1.0};
   QueryWorkspace workspace;
@@ -100,10 +99,7 @@ TEST(ReversePushTest, TwoLevelResidueCombination) {
   //   Graph: 2 -> 1 -> 0,   also 2 -> 0 so InDegree(0)=2.
   Graph g = testing_util::MakeGraph(3, {{2, 1}, {1, 0}, {2, 0}});
   SourceGraph gu;
-  gu.set_max_level(2);
-  gu.AddEntry(0, 0, 1.0);
-  gu.AddEntry(1, 1, 0.5);
-  gu.AddEntry(2, 2, 0.4);
+  gu.Reset(2, g.num_nodes());
   gu.AddAttentionNode(1, 1, 0.5);
   gu.AddAttentionNode(2, 2, 0.4);
   std::vector<double> gamma{1.0, 1.0};
@@ -140,9 +136,7 @@ TEST(ReversePushTest, WorkspaceReuseIsClean) {
 TEST(ReversePushTest, GammaScalesContributions) {
   Graph g = testing_util::MakeGraph(3, {{2, 1}, {1, 0}, {2, 0}});
   SourceGraph gu;
-  gu.set_max_level(1);
-  gu.AddEntry(0, 0, 1.0);
-  gu.AddEntry(1, 1, 0.8);
+  gu.Reset(1, g.num_nodes());
   gu.AddAttentionNode(1, 1, 0.8);
   const double sqrt_c = std::sqrt(0.6);
   QueryWorkspace workspace;

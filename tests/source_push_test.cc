@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "test_util.h"
 #include "walk/walk_stats.h"
 
@@ -57,7 +58,8 @@ TEST(DerivedParamsTest, SmallerEpsilonDeeperHorizon) {
             ComputeDerivedParams(fine).max_attention);
 }
 
-TEST(SourcePushTest, HittingProbsMatchExactDP) {
+TEST(SourcePushTest, MembershipMatchesExactDP) {
+  // Level ℓ of G_u holds exactly the nodes with h^(ℓ)(u, v) > 0.
   Graph g = testing_util::MakeFixtureGraph();
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;  // Explore all L* levels.
@@ -67,36 +69,80 @@ TEST(SourcePushTest, HittingProbsMatchExactDP) {
   auto gu = SourcePush(g, 0, options, params, &rng, &stats);
   ASSERT_TRUE(gu.ok());
   auto exact = ExactHittingProbabilities(g, 0, gu->max_level(), params.sqrt_c);
+  size_t occurrences = 0;
   for (uint32_t level = 0; level <= gu->max_level(); ++level) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_NEAR(gu->HittingProb(level, v), exact[level][v], 1e-12)
+      EXPECT_EQ(gu->Contains(level, v), exact[level][v] > 0)
           << "level " << level << " node " << v;
+      if (level >= 1 && gu->Contains(level, v)) ++occurrences;
     }
   }
+  EXPECT_EQ(stats.gu_node_occurrences, occurrences);
+  EXPECT_FALSE(gu->Contains(gu->max_level() + 1, 0));
 }
 
 TEST(SourcePushTest, AttentionNodesAreExactlyThoseAboveThreshold) {
+  // Attention occurrences carry the exact h^(ℓ)(u, w), and a member is
+  // one iff that h reaches ε_h. ε = 0.005 makes every member of levels
+  // 1-3 an attention node; deeper levels may hold members below ε_h.
   Graph g = testing_util::MakeFixtureGraph();
-  SimPushOptions options = FastOptions();
+  SimPushOptions options = FastOptions(0.005);
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(2);
   auto gu = SourcePush(g, 2, options, params, &rng, nullptr);
   ASSERT_TRUE(gu.ok());
+  auto exact = ExactHittingProbabilities(g, 2, gu->max_level(), params.sqrt_c);
   for (uint32_t level = 1; level <= gu->max_level(); ++level) {
-    for (const auto& [node, h] : gu->Level(level)) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
       AttentionId id;
-      const bool is_attention = gu->LookupAttention(level, node, &id);
-      EXPECT_EQ(is_attention, h >= params.eps_h)
-          << "level " << level << " node " << node << " h=" << h;
+      const bool is_attention = gu->LookupAttention(level, v, &id);
+      EXPECT_EQ(is_attention, exact[level][v] >= params.eps_h)
+          << "level " << level << " node " << v << " h=" << exact[level][v];
       if (is_attention) {
+        EXPECT_TRUE(gu->Contains(level, v));
         const AttentionNode& a = gu->attention_nodes()[id];
-        EXPECT_EQ(a.node, node);
+        EXPECT_EQ(a.node, v);
         EXPECT_EQ(a.level, level);
-        EXPECT_DOUBLE_EQ(a.hitting_prob, h);
+        EXPECT_NEAR(a.hitting_prob, exact[level][v], 1e-12);
       }
     }
   }
+  for (uint32_t level = 1; level <= 3; ++level) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      AttentionId id;
+      EXPECT_EQ(gu->Contains(level, v), gu->LookupAttention(level, v, &id))
+          << "level " << level << " node " << v;
+    }
+  }
+}
+
+TEST(SourcePushTest, AttentionIdsInLevelThenNodeOrder) {
+  // The one ordering rule of G_u: ids ascend level by level and, within
+  // a level, by node; AttentionOnLevel returns exactly a level's ids.
+  Graph g = testing_util::RandomGraph(300, 2400, 45);
+  SimPushOptions options = FastOptions(0.01);
+  const DerivedParams params = ComputeDerivedParams(options);
+  Rng rng(9);
+  auto gu = SourcePush(g, 5, options, params, &rng, nullptr);
+  ASSERT_TRUE(gu.ok());
+  ASSERT_GT(gu->num_attention(), 1u);
+  const auto& atts = gu->attention_nodes();
+  for (AttentionId id = 1; id < atts.size(); ++id) {
+    const bool ordered =
+        atts[id - 1].level < atts[id].level ||
+        (atts[id - 1].level == atts[id].level &&
+         atts[id - 1].node < atts[id].node);
+    EXPECT_TRUE(ordered) << "id " << id;
+  }
+  size_t seen = 0;
+  for (uint32_t level = 0; level <= gu->max_level() + 1; ++level) {
+    for (AttentionId id : gu->AttentionOnLevel(level)) {
+      EXPECT_EQ(atts[id].level, level);
+      ++seen;
+    }
+  }
+  EXPECT_EQ(seen, atts.size());
 }
 
 TEST(SourcePushTest, AttentionCountWithinLemma2Bound) {
@@ -112,6 +158,8 @@ TEST(SourcePushTest, AttentionCountWithinLemma2Bound) {
 }
 
 TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
+  // The exact mass of each level's members is at most √c^ℓ, and the
+  // attention h stored on the level is part of it.
   Graph g = testing_util::RandomGraph(200, 1500, 43);
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
@@ -119,13 +167,18 @@ TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
   Rng rng(4);
   auto gu = SourcePush(g, 11, options, params, &rng, nullptr);
   ASSERT_TRUE(gu.ok());
+  auto exact = ExactHittingProbabilities(g, 11, gu->max_level(), params.sqrt_c);
   for (uint32_t level = 0; level <= gu->max_level(); ++level) {
     double mass = 0;
-    for (const auto& [node, h] : gu->Level(level)) {
-      (void)node;
-      mass += h;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (gu->Contains(level, v)) mass += exact[level][v];
+    }
+    double attention_mass = 0;
+    for (AttentionId id : gu->AttentionOnLevel(level)) {
+      attention_mass += gu->attention_nodes()[id].hitting_prob;
     }
     EXPECT_LE(mass, std::pow(params.sqrt_c, level) + 1e-9);
+    EXPECT_LE(attention_mass, mass + 1e-9);
   }
 }
 
@@ -139,7 +192,11 @@ TEST(SourcePushTest, DanglingQueryNodeYieldsRootOnly) {
   auto gu = SourcePush(g, 0, options, params, &rng, &stats);
   ASSERT_TRUE(gu.ok());
   EXPECT_EQ(gu->num_attention(), 0u);
-  EXPECT_TRUE(gu->Level(1).empty());
+  EXPECT_EQ(stats.gu_node_occurrences, 0u);
+  EXPECT_TRUE(gu->Contains(0, 0));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_FALSE(gu->Contains(1, v)) << "node " << v;
+  }
 }
 
 TEST(SourcePushTest, RejectsOutOfRangeQuery) {
@@ -167,47 +224,56 @@ TEST(SourcePushTest, LevelDetectionNeverExceedsLStar) {
 
 TEST(SourcePushTest, CycleGraphKeepsFullMass) {
   // On a directed cycle each node has exactly one in-neighbor, so the
-  // pushed mass at level l concentrates on a single node: √c^l.
+  // pushed mass at level l concentrates on a single node: √c^l ≥ ε_h for
+  // every l ≤ L*, so each level's one member is an attention node.
   auto g = GenerateCycle(12);
   ASSERT_TRUE(g.ok());
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(7);
-  auto gu = SourcePush(*g, 0, options, params, &rng, nullptr);
+  SourcePushStats stats;
+  auto gu = SourcePush(*g, 0, options, params, &rng, &stats);
   ASSERT_TRUE(gu.ok());
+  EXPECT_EQ(stats.gu_node_occurrences, gu->max_level());
+  ASSERT_EQ(gu->num_attention(), gu->max_level());
   for (uint32_t level = 1; level <= gu->max_level(); ++level) {
-    ASSERT_EQ(gu->Level(level).size(), 1u);
     const NodeId expected = (0 + 12 - (level % 12)) % 12;
-    EXPECT_NEAR(gu->HittingProb(level, expected),
+    for (NodeId v = 0; v < 12; ++v) {
+      EXPECT_EQ(gu->Contains(level, v), v == expected)
+          << "level " << level << " node " << v;
+    }
+    AttentionId id;
+    ASSERT_TRUE(gu->LookupAttention(level, expected, &id));
+    EXPECT_NEAR(gu->attention_nodes()[id].hitting_prob,
                 std::pow(params.sqrt_c, level), 1e-12);
   }
 }
 
-TEST(SourceGraphTest, CountEdgesMatchesManualCount) {
+TEST(SourceGraphTest, ResetClearsMembershipAndAttention) {
+  // A reused G_u (the pooled-workspace case) must not leak members or
+  // attention from a previous, deeper query.
   Graph g = testing_util::MakeFixtureGraph();
   SimPushOptions options = FastOptions();
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
+  QueryWorkspace workspace;
+  SourceGraph gu;
   Rng rng(8);
-  auto gu = SourcePush(g, 0, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  size_t manual = 0;
-  for (uint32_t level = 0; level + 1 <= gu->max_level(); ++level) {
-    for (const auto& [node, h] : gu->Level(level)) {
-      (void)h;
-      manual += g.InDegree(node);
+  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
+                             nullptr)
+                  .ok());
+  ASSERT_GT(gu.num_attention(), 0u);
+  gu.Reset(2, g.num_nodes());
+  EXPECT_EQ(gu.max_level(), 2u);
+  EXPECT_EQ(gu.num_attention(), 0u);
+  for (uint32_t level = 0; level <= 3; ++level) {
+    EXPECT_TRUE(gu.AttentionOnLevel(level).empty());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_FALSE(gu.Contains(level, v)) << "level " << level << " node " << v;
     }
   }
-  EXPECT_EQ(gu->CountEdges(g), manual);
-  EXPECT_EQ(gu->TotalNodeOccurrences(),
-            [&] {
-              size_t total = 0;
-              for (uint32_t l = 1; l <= gu->max_level(); ++l) {
-                total += gu->Level(l).size();
-              }
-              return total;
-            }());
+  EXPECT_FALSE(SourceGraph().Contains(0, 0));
 }
 
 }  // namespace

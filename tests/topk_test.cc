@@ -75,5 +75,21 @@ TEST(TopKQueryTest, InvalidQueryPropagatesError) {
   EXPECT_FALSE(QueryTopK(&engine, 99, 5).ok());
 }
 
+TEST(SelectTopKTest, DropsSelfAndZerosTiesToSmallerId) {
+  // The one top-k selection: descending, equal scores by ascending id,
+  // the query node and zero scores never reported.
+  const std::vector<double> scores{0.2, 1.0, 0.0, 0.5, 0.2, 0.0, 0.7};
+  const std::vector<TopKEntry> top = SelectTopK(scores, /*u=*/1, 10);
+  ASSERT_EQ(top.size(), 4u);
+  const NodeId expected[] = {6, 3, 0, 4};
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].node, expected[i]) << "rank " << i;
+    EXPECT_EQ(top[i].score, scores[expected[i]]);
+  }
+  EXPECT_EQ(SelectTopK(scores, 1, 2).size(), 2u);
+  EXPECT_EQ(SelectTopK(scores, 1, 3)[2].node, 0u);
+  EXPECT_TRUE(SelectTopK(scores, 1, 0).empty());
+}
+
 }  // namespace
 }  // namespace simpush
