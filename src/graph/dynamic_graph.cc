@@ -102,7 +102,7 @@ bool DynamicGraph::HasEdge(NodeId src, NodeId dst) const {
          neighbors.end();
 }
 
-EdgeId DynamicGraph::CountEdges(NodeId src, NodeId dst) const {
+EdgeId DynamicGraph::EdgeMultiplicity(NodeId src, NodeId dst) const {
   return static_cast<EdgeId>(
       std::count(out_[src].begin(), out_[src].end(), dst));
 }
@@ -123,7 +123,7 @@ Status DynamicGraph::ValidateBatch(
     } else {
       auto [it, first_touch] =
           available.try_emplace(EdgeKey(update.src, update.dst), 0);
-      if (first_touch) it->second = CountEdges(update.src, update.dst);
+      if (first_touch) it->second = EdgeMultiplicity(update.src, update.dst);
       if (update.kind == EdgeUpdate::Kind::kInsert) {
         ++it->second;
       } else if (it->second == 0) {

@@ -141,7 +141,7 @@ class DynamicGraph {
   // live edge multiset without mutating anything.
   Status ValidateBatch(const std::vector<EdgeUpdate>& updates) const;
   // Occurrences of src->dst in the live out-adjacency. O(d_O(src)).
-  EdgeId CountEdges(NodeId src, NodeId dst) const;
+  EdgeId EdgeMultiplicity(NodeId src, NodeId dst) const;
   void MarkOutDirty(NodeId v);
   void MarkInDirty(NodeId v);
 

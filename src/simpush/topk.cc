@@ -7,6 +7,7 @@ namespace simpush {
 std::vector<TopKEntry> SelectTopK(const std::vector<double>& scores,
                                   NodeId u, size_t k) {
   std::vector<NodeId> order;
+  order.reserve(scores.size());
   for (NodeId v = 0; v < scores.size(); ++v) {
     if (v != u && scores[v] > 0.0) order.push_back(v);
   }
