@@ -187,7 +187,10 @@ void RunDeltaSweep(const std::string& json_path) {
     std::fprintf(stderr, "FATAL: Chung-Lu generation failed\n");
     std::exit(1);
   }
-  const Graph& base = *base_or;
+  // The master shares the base generation's CSR, as a registry tenant
+  // does, so the sweep times the publish and not a copy of the base.
+  const auto shared_base = std::make_shared<const Graph>(*std::move(base_or));
+  const Graph& base = *shared_base;
 
   std::printf("\n== delta publish sweep: Chung-Lu n=%u m=%llu ==\n", n,
               static_cast<unsigned long long>(base.num_edges()));
@@ -196,7 +199,7 @@ void RunDeltaSweep(const std::string& json_path) {
 
   std::map<std::string, BenchSamples> trajectory;
   for (const double fraction : {0.0001, 0.001, 0.01, 0.05, 0.2}) {
-    DynamicGraph dynamic = DynamicGraph::FromGraph(base);
+    DynamicGraph dynamic(shared_base);
     // Each insert dirties ~2 distinct vertices; deletes overlap the
     // stream's own inserts, so aim with update count ≈ target/2 and
     // report the dirty share actually reached.

@@ -3,80 +3,69 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 
 #include "common/rng.h"
+#include "graph/graph_builder.h"
 
 namespace simpush {
 
 namespace {
 
-// Removes one occurrence of `value` from `vec` by swapping with the back.
-// Returns false when absent.
-bool SwapRemove(std::vector<NodeId>& vec, NodeId value) {
-  auto it = std::find(vec.begin(), vec.end(), value);
-  if (it == vec.end()) return false;
-  *it = vec.back();
+// Removes one occurrence of `value`, which must be present, from `vec`
+// by swapping with the back.
+void SwapRemove(std::vector<NodeId>& vec, NodeId value) {
+  *std::find(vec.begin(), vec.end(), value) = vec.back();
   vec.pop_back();
-  return true;
-}
-
-// (src, dst) packed into one word for the batch-validation map.
-uint64_t EdgeKey(NodeId src, NodeId dst) {
-  return (static_cast<uint64_t>(src) << 32) | dst;
 }
 
 }  // namespace
 
-DynamicGraph DynamicGraph::FromGraph(const Graph& graph) {
-  DynamicGraph dynamic(graph.num_nodes());
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    auto out = graph.OutNeighbors(v);
-    dynamic.out_[v].assign(out.begin(), out.end());
-    auto in = graph.InNeighbors(v);
-    dynamic.in_[v].assign(in.begin(), in.end());
+DynamicGraph::DynamicGraph(NodeId num_nodes)
+    : DynamicGraph(std::make_shared<const Graph>(
+          *GraphBuilder(num_nodes).Build())) {}
+
+DynamicGraph::DynamicGraph(std::shared_ptr<const Graph> base)
+    : base_(std::move(base)),
+      num_nodes_(base_->num_nodes()),
+      num_edges_(base_->num_edges()) {}
+
+std::span<const NodeId> DynamicGraph::Row(NodeId v, Side side) const {
+  const auto it = slot_of_.find(v);
+  if (it != slot_of_.end() && dirty_[it->second].rows[side]) {
+    return *dirty_[it->second].rows[side];
   }
-  dynamic.num_edges_ = graph.num_edges();
-  // Clean relative to `graph`: when it is a canonical snapshot (the
-  // registry's case), SnapshotDelta can immediately patch against it.
-  dynamic.MarkClean();
-  return dynamic;
+  return BaseRow(*base_, v, side);
 }
 
-void DynamicGraph::MarkOutDirty(NodeId v) {
-  if (dirty_out_[v] == 0) {
-    if (dirty_in_[v] == 0) ++dirty_count_;
-    dirty_out_[v] = 1;
+std::vector<NodeId>& DynamicGraph::MutableRow(NodeId v, Side side) {
+  const auto [it, inserted] =
+      slot_of_.try_emplace(v, static_cast<uint32_t>(dirty_.size()));
+  if (inserted) dirty_.push_back(DirtyRows{v, {}});
+  std::optional<std::vector<NodeId>>& row = dirty_[it->second].rows[side];
+  if (!row) {
+    // First write: copy the base row; a node past the base starts empty.
+    const auto clean = v < base_->num_nodes() ? BaseRow(*base_, v, side)
+                                              : std::span<const NodeId>();
+    row.emplace(clean.begin(), clean.end());
   }
-}
-
-void DynamicGraph::MarkInDirty(NodeId v) {
-  if (dirty_in_[v] == 0) {
-    if (dirty_out_[v] == 0) ++dirty_count_;
-    dirty_in_[v] = 1;
-  }
+  return *row;
 }
 
 NodeId DynamicGraph::AddNode() {
-  out_.emplace_back();
-  in_.emplace_back();
-  // A node appended past the clean point has no base row to copy; it is
-  // dirty in both directions until the next MarkClean().
-  dirty_out_.push_back(1);
-  dirty_in_.push_back(1);
-  ++dirty_count_;
-  return static_cast<NodeId>(out_.size() - 1);
+  // A node past the base has no base row to read through to, so it
+  // holds both (empty) rows until the next MarkClean().
+  MutableRow(num_nodes_, kOut);
+  MutableRow(num_nodes_, kIn);
+  return num_nodes_++;
 }
 
 Status DynamicGraph::AddEdge(NodeId src, NodeId dst) {
   if (src >= num_nodes() || dst >= num_nodes()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  out_[src].push_back(dst);
-  in_[dst].push_back(src);
+  MutableRow(src, kOut).push_back(dst);
+  MutableRow(dst, kIn).push_back(src);
   ++num_edges_;
-  MarkOutDirty(src);
-  MarkInDirty(dst);
   return Status::OK();
 }
 
@@ -84,27 +73,22 @@ Status DynamicGraph::RemoveEdge(NodeId src, NodeId dst) {
   if (src >= num_nodes() || dst >= num_nodes()) {
     return Status::InvalidArgument("edge endpoint out of range");
   }
-  if (!SwapRemove(out_[src], dst)) {
-    return Status::NotFound("edge not present");
-  }
-  // The in-list must hold a matching entry; CSR invariants guarantee it.
-  SwapRemove(in_[dst], src);
+  // Checked before any row is copied, so a miss dirties nothing.
+  if (!HasEdge(src, dst)) return Status::NotFound("edge not present");
+  SwapRemove(MutableRow(src, kOut), dst);
+  // The in-row must hold a matching entry; CSR invariants guarantee it.
+  SwapRemove(MutableRow(dst, kIn), src);
   --num_edges_;
-  MarkOutDirty(src);
-  MarkInDirty(dst);
   return Status::OK();
 }
 
 bool DynamicGraph::HasEdge(NodeId src, NodeId dst) const {
-  if (src >= num_nodes()) return false;
-  const auto& neighbors = out_[src];
-  return std::find(neighbors.begin(), neighbors.end(), dst) !=
-         neighbors.end();
+  return src < num_nodes() && EdgeMultiplicity(src, dst) > 0;
 }
 
 EdgeId DynamicGraph::EdgeMultiplicity(NodeId src, NodeId dst) const {
-  return static_cast<EdgeId>(
-      std::count(out_[src].begin(), out_[src].end(), dst));
+  const auto row = Row(src, kOut);
+  return static_cast<EdgeId>(std::count(row.begin(), row.end(), dst));
 }
 
 Status DynamicGraph::ValidateBatch(
@@ -121,8 +105,9 @@ Status DynamicGraph::ValidateBatch(
     if (update.src >= num_nodes() || update.dst >= num_nodes()) {
       status = Status::InvalidArgument("edge endpoint out of range");
     } else {
-      auto [it, first_touch] =
-          available.try_emplace(EdgeKey(update.src, update.dst), 0);
+      // (src, dst) packed into one word.
+      auto [it, first_touch] = available.try_emplace(
+          (static_cast<uint64_t>(update.src) << 32) | update.dst, 0);
       if (first_touch) it->second = EdgeMultiplicity(update.src, update.dst);
       if (update.kind == EdgeUpdate::Kind::kInsert) {
         ++it->second;
@@ -148,20 +133,16 @@ Status DynamicGraph::Apply(const std::vector<EdgeUpdate>& updates) {
   // publishing a half-applied prefix.
   SIMPUSH_RETURN_NOT_OK(ValidateBatch(updates));
   for (const EdgeUpdate& update : updates) {
-    const Status status = update.kind == EdgeUpdate::Kind::kInsert
+    SIMPUSH_RETURN_NOT_OK(update.kind == EdgeUpdate::Kind::kInsert
                               ? AddEdge(update.src, update.dst)
-                              : RemoveEdge(update.src, update.dst);
-    if (!status.ok()) {
-      return Status::Internal("validated update failed to apply: " +
-                              std::string(status.message()));
-    }
+                              : RemoveEdge(update.src, update.dst));
   }
   return Status::OK();
 }
 
 StatusOr<Graph> DynamicGraph::Snapshot() const {
-  // Canonical snapshot: RemoveEdge's swap-with-back removal makes the
-  // live adjacency order a function of the whole update history, so the
+  // Canonical snapshot: RemoveEdge's swap-with-back removal makes a
+  // dirty row's order a function of the whole update history, so the
   // CSR is built with every per-node run sorted — two graphs holding the
   // same edge multiset snapshot to byte-identical CSRs no matter which
   // insert/delete sequence produced them. That is what makes registry
@@ -169,121 +150,139 @@ StatusOr<Graph> DynamicGraph::Snapshot() const {
   // Parallel edges are kept: the dynamic stream may legitimately contain
   // duplicates and deleting one copy must leave the other.
   const NodeId n = num_nodes();
+  const std::vector<uint64_t> order = SortedSlots();
   std::vector<EdgeId> offsets(static_cast<size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    offsets[v + 1] = offsets[v] + out_[v].size();
-  }
   std::vector<NodeId> targets(static_cast<size_t>(num_edges_));
+  size_t next = 0;  // First overlay entry at or after v.
   for (NodeId v = 0; v < n; ++v) {
+    const DirtyRows* entry = next < order.size() && (order[next] >> 32) == v
+                                 ? &EntryAt(order, next++)
+                                 : nullptr;
+    const std::span<const NodeId> out =
+        entry != nullptr && entry->rows[kOut] ? *entry->rows[kOut]
+                                              : base_->OutNeighbors(v);
+    offsets[v + 1] = offsets[v] + out.size();
     const auto begin = targets.begin() + static_cast<ptrdiff_t>(offsets[v]);
-    std::copy(out_[v].begin(), out_[v].end(), begin);
-    std::sort(begin, targets.begin() + static_cast<ptrdiff_t>(offsets[v + 1]));
+    std::copy(out.begin(), out.end(), begin);
+    std::sort(begin, begin + static_cast<ptrdiff_t>(out.size()));
   }
   return Graph::FromSortedCsr(n, std::move(offsets), std::move(targets));
 }
 
-namespace {
+std::vector<uint64_t> DynamicGraph::SortedSlots() const {
+  std::vector<uint64_t> order;
+  order.reserve(dirty_.size());
+  for (uint32_t slot = 0; slot < dirty_.size(); ++slot) {
+    order.push_back(static_cast<uint64_t>(dirty_[slot].node) << 32 | slot);
+  }
+  // LSD radix sort on the node half, 11 bits per pass: at 10^4+ dirty
+  // nodes std::sort's O(k log k) compares were a visible share of a
+  // publish.
+  std::vector<uint64_t> sorted(order.size());
+  for (int shift = 32; shift < 64; shift += 11) {
+    size_t start[2049] = {};
+    for (const uint64_t key : order) ++start[((key >> shift) & 2047) + 1];
+    for (int digit = 0; digit < 2048; ++digit) {
+      start[digit + 1] += start[digit];
+    }
+    for (const uint64_t key : order) {
+      sorted[start[(key >> shift) & 2047]++] = key;
+    }
+    order.swap(sorted);
+  }
+  return order;
+}
 
-// Builds one CSR side of a delta snapshot. Clean rows (not dirty and
-// present in the base) are bulk-copied as maximal runs straight out of
-// the base's flat array — their content is already canonical and their
-// degrees are unchanged, so run lengths line up exactly. Dirty rows and
-// rows past the base's node count are copied from the live adjacency
-// and sorted locally, restoring the canonical order that swap-with-back
-// deletions scrambled.
-// `base_row_begin(v)` is the flat index of v's base row (valid for
-// v in [0, base_n], so run lengths come from adjacent differences);
-// `base_row_data(v)` is the pointer to its first element.
-template <typename RowBeginFn, typename RowDataFn>
-void BuildDeltaSide(NodeId n, NodeId base_n, EdgeId total_edges,
-                    const std::vector<std::vector<NodeId>>& adj,
-                    const std::vector<uint8_t>& dirty,
-                    RowBeginFn base_row_begin, RowDataFn base_row_data,
-                    std::vector<EdgeId>& offsets,
-                    std::vector<NodeId>& flat) {
-  offsets.resize(static_cast<size_t>(n) + 1);
+const DynamicGraph::DirtyRows& DynamicGraph::EntryAt(
+    const std::vector<uint64_t>& order, size_t i) const {
+  constexpr size_t kAhead = 8;
+  if (i + kAhead < order.size()) {
+    __builtin_prefetch(&dirty_[static_cast<uint32_t>(order[i + kAhead])]);
+  }
+  return dirty_[static_cast<uint32_t>(order[i])];
+}
+
+void DynamicGraph::BuildDeltaSide(Side side, const Graph& base,
+                                  const std::vector<uint64_t>& order,
+                                  std::vector<EdgeId>& offsets,
+                                  std::vector<NodeId>& flat) const {
+  const auto row_begin = [&base, side](NodeId v) {
+    return side == kOut ? base.OutRowBegin(v) : base.InRowBegin(v);
+  };
+  offsets.resize(static_cast<size_t>(num_nodes()) + 1);
   offsets[0] = 0;
   // Append into reserved capacity instead of resize-then-overwrite:
   // the flat array is written exactly once (no zero-fill pass), which
   // matters when the whole point is to be bandwidth-bound on ~m words.
   flat.clear();
-  flat.reserve(total_edges);
-  NodeId v = 0;
-  while (v < n) {
-    if (v < base_n && dirty[v] == 0) {
-      NodeId w = v + 1;
-      while (w < base_n && dirty[w] == 0) ++w;
-      // Rows are contiguous in the base's flat array, so the whole
-      // clean run [v, w) is one copy; its offsets are the base's,
-      // shifted by however much the dirty rows before it grew/shrank.
-      const NodeId* row = base_row_data(v);
-      flat.insert(flat.end(), row, row + (base_row_begin(w) - base_row_begin(v)));
-      const EdgeId shift = offsets[v] - base_row_begin(v);
-      for (NodeId u = v; u < w; ++u) {
-        offsets[u + 1] = base_row_begin(u + 1) + shift;
-      }
-      v = w;
-    } else {
-      flat.insert(flat.end(), adj[v].begin(), adj[v].end());
-      std::sort(flat.end() - static_cast<ptrdiff_t>(adj[v].size()),
-                flat.end());
-      offsets[v + 1] = offsets[v] + adj[v].size();
-      ++v;
-    }
+  flat.reserve(num_edges_);
+  NodeId v = 0;  // First row not yet emitted.
+  // Rows [v, end) are clean on this side, so their content is already
+  // canonical and contiguous in the base's flat array: one copy, with
+  // the base's offsets shifted by however much the dirty rows before
+  // them grew or shrank. Appended nodes are always dirty, so a clean
+  // run never reaches past the base.
+  const auto copy_clean_run = [&](NodeId end) {
+    if (v == end) return;
+    const NodeId* data = BaseRow(base, v, side).data();
+    flat.insert(flat.end(), data, data + (row_begin(end) - row_begin(v)));
+    const EdgeId shift = offsets[v] - row_begin(v);
+    for (; v < end; ++v) offsets[v + 1] = row_begin(v + 1) + shift;
+  };
+  for (size_t i = 0; i < order.size(); ++i) {
+    const std::optional<std::vector<NodeId>>& row =
+        EntryAt(order, i).rows[side];
+    if (!row) continue;  // Clean on this side: part of a clean run.
+    const NodeId d = static_cast<NodeId>(order[i] >> 32);
+    copy_clean_run(d);
+    flat.insert(flat.end(), row->begin(), row->end());
+    std::sort(flat.end() - static_cast<ptrdiff_t>(row->size()), flat.end());
+    offsets[d + 1] = offsets[d] + row->size();
+    v = d + 1;
   }
+  copy_clean_run(num_nodes());
 }
 
-}  // namespace
-
 StatusOr<Graph> DynamicGraph::SnapshotDelta(const Graph& base) const {
-  // Cheap base check: `base` must be the canonical snapshot of this
-  // graph at the last MarkClean() point. Node/edge counts recorded then
-  // catch every registry-level misuse (stale generation, wrong tenant's
-  // graph after a resize); byte-level agreement of clean rows is the
-  // documented contract, enforced end-to-end by the randomized
-  // delta-vs-full property suite.
-  if (base.num_nodes() != clean_nodes_ || base.num_edges() != clean_edges_) {
+  // Cheap base check: node/edge counts catch every registry-level
+  // misuse (a stale generation, another tenant's graph); byte-level
+  // agreement with base() is the documented contract, enforced
+  // end-to-end by the randomized delta-vs-full property suite.
+  if (base.num_nodes() != base_->num_nodes() ||
+      base.num_edges() != base_->num_edges()) {
     return Status::FailedPrecondition(
         "delta base does not match the last marked-clean snapshot");
   }
-  const NodeId n = num_nodes();
-  const NodeId base_n = clean_nodes_;
-
+  const std::vector<uint64_t> order = SortedSlots();
   std::vector<EdgeId> out_offsets, in_offsets;
   std::vector<NodeId> out_targets, in_sources;
-  // The base's rows are contiguous per direction, so OutRowBegin /
-  // InRowBegin plus the first row's data pointer address the whole flat
-  // array; clean-run copies never cross a dirty row's boundary.
-  BuildDeltaSide(
-      n, base_n, num_edges_, out_, dirty_out_,
-      [&base](NodeId v) { return base.OutRowBegin(v); },
-      [&base](NodeId v) { return base.OutNeighbors(v).data(); },
-      out_offsets, out_targets);
-  BuildDeltaSide(
-      n, base_n, num_edges_, in_, dirty_in_,
-      [&base](NodeId v) { return base.InRowBegin(v); },
-      [&base](NodeId v) { return base.InNeighbors(v).data(); },
-      in_offsets, in_sources);
-  return Graph::FromSortedCsrPair(n, std::move(out_offsets),
+  BuildDeltaSide(kOut, base, order, out_offsets, out_targets);
+  BuildDeltaSide(kIn, base, order, in_offsets, in_sources);
+  return Graph::FromSortedCsrPair(num_nodes(), std::move(out_offsets),
                                   std::move(out_targets),
                                   std::move(in_offsets),
                                   std::move(in_sources));
 }
 
-void DynamicGraph::MarkClean() {
-  std::fill(dirty_out_.begin(), dirty_out_.end(), 0);
-  std::fill(dirty_in_.begin(), dirty_in_.end(), 0);
-  dirty_count_ = 0;
-  clean_nodes_ = num_nodes();
-  clean_edges_ = num_edges_;
+void DynamicGraph::MarkClean(std::shared_ptr<const Graph> published) {
+  base_ = std::move(published);
+  // Fresh containers, not clear(): clear() keeps the capacity, so a
+  // clean master would go on holding memory sized for the last burst.
+  dirty_ = std::vector<DirtyRows>();
+  slot_of_ = std::unordered_map<NodeId, uint32_t>();
 }
 
 size_t DynamicGraph::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& adj : out_) bytes += adj.capacity() * sizeof(NodeId);
-  for (const auto& adj : in_) bytes += adj.capacity() * sizeof(NodeId);
-  bytes += (out_.capacity() + in_.capacity()) * sizeof(std::vector<NodeId>);
-  bytes += dirty_out_.capacity() + dirty_in_.capacity();
+  // A bucket is one pointer; an index node is a next pointer plus the
+  // (node, slot) pair.
+  size_t bytes =
+      sizeof(*this) + dirty_.capacity() * sizeof(DirtyRows) +
+      (slot_of_.bucket_count() + 2 * slot_of_.size()) * sizeof(void*);
+  for (const DirtyRows& entry : dirty_) {
+    for (const auto& row : entry.rows) {
+      if (row) bytes += row->capacity() * sizeof(NodeId);
+    }
+  }
   return bytes;
 }
 

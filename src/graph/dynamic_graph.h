@@ -1,6 +1,6 @@
-// Mutable adjacency-list graph supporting online edge insertion and
-// deletion, with O(m) snapshotting into the immutable CSR Graph that the
-// query algorithms consume.
+// Mutable directed graph supporting online edge insertion and deletion,
+// stored as the rows changed since the last publish on top of the
+// immutable CSR Graph that publish produced.
 //
 // This is the substrate for the paper's motivating scenario (§1): the
 // underlying graph "can change frequently and unpredictably", so query
@@ -14,7 +14,11 @@
 #define SIMPUSH_GRAPH_DYNAMIC_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -30,51 +34,49 @@ struct EdgeUpdate {
   NodeId dst = 0;
 };
 
-/// Mutable directed graph with per-node out/in adjacency vectors.
+/// Mutable directed graph: a shared immutable base CSR plus an overlay
+/// that holds, for each node touched since the last MarkClean(), its
+/// out-row and/or in-row, and every node appended since then. Clean
+/// rows are read straight from the base; the first write to a row
+/// copies it out of the base. A clean master therefore costs O(1)
+/// memory beyond the base it shares with whoever published it.
 ///
-/// Complexity: AddEdge amortized O(1); RemoveEdge O(d_O(src) + d_I(dst))
-/// (swap-with-back removal, order not preserved); Snapshot O(n + m);
-/// SnapshotDelta patches only the rows dirtied since the last
-/// MarkClean() into a copy of a previous snapshot's arrays.
-/// Duplicate (parallel) edges are permitted, matching multigraph edge
-/// lists; HasEdge reports any occurrence.
+/// Complexity: AddEdge amortized O(1) (plus a one-time O(d) row copy);
+/// RemoveEdge O(d_O(src) + d_I(dst)) (swap-with-back removal, order not
+/// preserved); Snapshot O(n + m); SnapshotDelta patches only the dirty
+/// rows into a copy of the base's arrays. Duplicate (parallel) edges
+/// are permitted, matching multigraph edge lists; HasEdge reports any
+/// occurrence.
 class DynamicGraph {
  public:
-  DynamicGraph() = default;
+  /// Creates an empty graph with `num_nodes` nodes, clean against the
+  /// empty n-node base.
+  explicit DynamicGraph(NodeId num_nodes = 0);
 
-  /// Creates an empty graph with `num_nodes` nodes. The new graph is
-  /// marked clean: its implicit base snapshot is the empty n-node graph.
-  explicit DynamicGraph(NodeId num_nodes)
-      : out_(num_nodes),
-        in_(num_nodes),
-        dirty_out_(num_nodes, 0),
-        dirty_in_(num_nodes, 0),
-        clean_nodes_(num_nodes) {}
+  /// A clean graph over `base`, which it shares rather than copies.
+  explicit DynamicGraph(std::shared_ptr<const Graph> base);
 
-  /// Copies an immutable snapshot into mutable form.
-  static DynamicGraph FromGraph(const Graph& graph);
+  /// A clean graph over a private copy of `graph`.
+  static DynamicGraph FromGraph(const Graph& graph) {
+    return DynamicGraph(std::make_shared<const Graph>(graph));
+  }
 
-  NodeId num_nodes() const { return static_cast<NodeId>(out_.size()); }
+  NodeId num_nodes() const { return num_nodes_; }
   EdgeId num_edges() const { return num_edges_; }
 
   uint32_t OutDegree(NodeId v) const {
-    return static_cast<uint32_t>(out_[v].size());
+    return static_cast<uint32_t>(Row(v, kOut).size());
   }
   uint32_t InDegree(NodeId v) const {
-    return static_cast<uint32_t>(in_[v].size());
+    return static_cast<uint32_t>(Row(v, kIn).size());
   }
 
-  /// Out-neighbors O(v), as a span so templated walk/push code compiles
-  /// against Graph and DynamicGraph interchangeably (same return type as
-  /// Graph::OutNeighbors; no copies). Invalidated by any mutation of v's
-  /// adjacency.
-  std::span<const NodeId> OutNeighbors(NodeId v) const { return out_[v]; }
-  /// In-neighbors I(v); same contract as OutNeighbors.
-  std::span<const NodeId> InNeighbors(NodeId v) const { return in_[v]; }
-
-  /// k-th in-neighbor of v, 0 <= k < InDegree(v) — mirrors
-  /// Graph::InNeighborAt for walk code written against either type.
-  NodeId InNeighborAt(NodeId v, uint32_t k) const { return in_[v][k]; }
+  /// Out-neighbors O(v): a base span for a clean row, the overlay row
+  /// for a dirty one. Invalidated by any mutation of v's adjacency and
+  /// by MarkClean().
+  std::span<const NodeId> OutNeighbors(NodeId v) const {
+    return Row(v, kOut);
+  }
 
   /// Appends a node with no edges; returns its id.
   NodeId AddNode();
@@ -94,7 +96,7 @@ class DynamicGraph {
   /// effects, so an insert earlier in the batch can satisfy a later
   /// delete of the same edge — and only then applied. On failure the
   /// graph is left byte-identical to before the call (no update is
-  /// applied, no dirty state is recorded) and the status names the
+  /// applied, no row enters the overlay) and the status names the
   /// offending update's index. This is what lets the serving layer
   /// reject a bad network batch with a 4xx without the next hot swap
   /// silently publishing half of it.
@@ -106,58 +108,87 @@ class DynamicGraph {
   /// byte-identical snapshots regardless of the insert/delete history
   /// that built them — RemoveEdge's swap-with-back reordering never
   /// leaks into a snapshot. Registry hot swaps depend on this for
-  /// reproducibility.
+  /// reproducibility. This is the reference the delta build is tested
+  /// against: every row is copied and sorted, then FromSortedCsr
+  /// validates and derives the in-CSR.
   StatusOr<Graph> Snapshot() const;
 
   /// Incremental canonical snapshot: produces a Graph byte-identical to
   /// Snapshot(), but built by patching only the dirty rows into a copy
-  /// of `base`'s CSR arrays — clean per-node runs are bulk-copied
-  /// (memcpy-speed, no per-row sort/validate/scatter), dirty rows are
-  /// re-sorted locally. `base` must be the canonical snapshot of this
-  /// graph's state at the last MarkClean() point (checked cheaply via
-  /// the node/edge counts recorded then; FailedPrecondition on
-  /// mismatch, letting callers fall back to a full Snapshot()).
-  /// Cost: O(n) offset arithmetic + bandwidth-bound copy of clean runs
-  /// + O(d log d) per dirty row, vs Snapshot()'s per-row copy+sort plus
-  /// FromSortedCsr's O(m) validation and counting-sort scatter.
+  /// of `base`'s CSR arrays — the clean runs between the sorted dirty
+  /// ids are bulk-copied (memcpy-speed, no per-row sort/validate/
+  /// scatter), dirty rows are re-sorted locally. `base` must hold the
+  /// canonical bytes of this graph's base() — normally it IS *base().
+  /// Its node/edge counts are checked against base() (FailedPrecondition
+  /// on mismatch). Cost: an O(k) radix sort of the k dirty nodes +
+  /// bandwidth-bound copy of clean runs + O(d log d) per dirty row, vs
+  /// Snapshot()'s per-row copy+sort plus FromSortedCsr's O(m)
+  /// validation and counting-sort scatter.
   StatusOr<Graph> SnapshotDelta(const Graph& base) const;
 
-  /// Declares the current state clean: a snapshot taken now becomes the
-  /// valid `base` for future SnapshotDelta calls, and the dirty set
-  /// resets. The registry calls this after (and only after) a
-  /// successful publish, so a failed publish keeps the dirty set intact
-  /// and the next rebuild still patches against the live generation.
-  void MarkClean();
+  /// Rebases onto `published`, the canonical snapshot of the current
+  /// state that was just published, and clears the overlay: the master
+  /// then shares that CSR instead of holding its own copy. The registry
+  /// calls this after (and only after) a successful publish, so a
+  /// failed publish keeps the overlay and the next rebuild still
+  /// patches against the live generation.
+  void MarkClean(std::shared_ptr<const Graph> published);
+
+  /// The CSR the overlay sits on: the last snapshot passed to
+  /// MarkClean(), or the graph this master was built over.
+  const std::shared_ptr<const Graph>& base() const { return base_; }
 
   /// Distinct vertices whose out- or in-adjacency changed since the
-  /// last MarkClean() (or construction). O(1); mirrored into /v1/stats.
-  size_t dirty_vertices() const { return dirty_count_; }
+  /// last MarkClean() (or construction), appended nodes included.
+  /// O(1); mirrored into /v1/stats.
+  size_t dirty_vertices() const { return dirty_.size(); }
 
-  /// Approximate heap footprint in bytes.
+  /// Approximate heap footprint of the overlay in bytes. The shared
+  /// base is not counted; Graph::MemoryBytes reports it.
   size_t MemoryBytes() const;
 
  private:
+  enum Side : int { kOut = 0, kIn = 1 };
+  // A node's rows that differ from the base, indexed by Side; an empty
+  // optional reads through to the base row.
+  struct DirtyRows {
+    NodeId node;
+    std::optional<std::vector<NodeId>> rows[2];
+  };
+
+  static auto BaseRow(const Graph& g, NodeId v, Side side) {
+    return side == kOut ? g.OutNeighbors(v) : g.InNeighbors(v);
+  }
+  std::span<const NodeId> Row(NodeId v, Side side) const;
+  // The overlay's copy of v's row on `side`, copied from the base on
+  // first write (which also gives v an overlay entry).
+  std::vector<NodeId>& MutableRow(NodeId v, Side side);
+  // Overlay slots in ascending node order, each packed as
+  // (node << 32 | slot) so one integer sort orders them.
+  std::vector<uint64_t> SortedSlots() const;
+  // The overlay entry at position i of `order`, prefetching the one a
+  // few positions ahead: node order is random order in dirty_.
+  const DirtyRows& EntryAt(const std::vector<uint64_t>& order,
+                           size_t i) const;
+  // One CSR side of a delta snapshot.
+  void BuildDeltaSide(Side side, const Graph& base,
+                      const std::vector<uint64_t>& order,
+                      std::vector<EdgeId>& offsets,
+                      std::vector<NodeId>& flat) const;
   // Batch-wide validation for Apply: simulates the batch against the
   // live edge multiset without mutating anything.
   Status ValidateBatch(const std::vector<EdgeUpdate>& updates) const;
   // Occurrences of src->dst in the live out-adjacency. O(d_O(src)).
   EdgeId EdgeMultiplicity(NodeId src, NodeId dst) const;
-  void MarkOutDirty(NodeId v);
-  void MarkInDirty(NodeId v);
 
-  std::vector<std::vector<NodeId>> out_;
-  std::vector<std::vector<NodeId>> in_;
+  std::shared_ptr<const Graph> base_;
+  // The overlay: touched nodes' rows in first-touch order, and each
+  // node's slot in that list. Contiguous slots keep the snapshot
+  // builds' walk over them cache-friendly.
+  std::vector<DirtyRows> dirty_;
+  std::unordered_map<NodeId, uint32_t> slot_of_;
+  NodeId num_nodes_ = 0;
   EdgeId num_edges_ = 0;
-
-  // Dirty tracking for SnapshotDelta: one flag per adjacency direction
-  // (an edge dirties only its src's out-row and its dst's in-row), plus
-  // the node/edge counts recorded at the last MarkClean() so a
-  // mismatched base is rejected instead of silently miscopied.
-  std::vector<uint8_t> dirty_out_;
-  std::vector<uint8_t> dirty_in_;
-  size_t dirty_count_ = 0;
-  NodeId clean_nodes_ = 0;
-  EdgeId clean_edges_ = 0;
 };
 
 /// Deterministically generates a mixed insert/delete stream against

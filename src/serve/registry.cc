@@ -24,12 +24,13 @@ std::unique_ptr<ResultCache> MakeCache(
 }  // namespace
 
 GraphGeneration::GraphGeneration(
-    uint64_t id, Graph graph, const SimPushOptions& options,
+    uint64_t id, std::shared_ptr<const Graph> graph,
+    const SimPushOptions& options,
     size_t pool_capacity, std::shared_ptr<std::atomic<int64_t>> live_counter,
     size_t cache_bytes, std::shared_ptr<ResultCacheMetrics> cache_metrics)
     : id_(id),
       graph_(std::move(graph)),
-      core_(graph_, options),
+      core_(*graph_, options),
       workspaces_(pool_capacity),
       options_fingerprint_(OptionsFingerprint(options)),
       cache_(MakeCache(id, cache_bytes, std::move(cache_metrics))),
@@ -58,7 +59,7 @@ GraphRegistry::GraphRegistry(const RegistryOptions& options)
       live_generations_(std::make_shared<std::atomic<int64_t>>(0)) {}
 
 GenerationLease GraphRegistry::BuildGeneration(
-    Graph graph, const SimPushOptions& options,
+    std::shared_ptr<const Graph> graph, const SimPushOptions& options,
     std::shared_ptr<ResultCacheMetrics> cache_metrics) {
   const size_t capacity = options_.pool_capacity != 0
                               ? options_.pool_capacity
@@ -86,9 +87,10 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
   // generation so every generation (including this one) shares them.
   auto cache_metrics = std::make_shared<ResultCacheMetrics>();
   // Build the full bundle before touching the map, so a validation
-  // failure (or a long CSR copy) never holds map_mu_.
-  GenerationLease generation =
-      BuildGeneration(std::move(graph), options, cache_metrics);
+  // failure never holds map_mu_. The generation and the master share
+  // the one CSR.
+  auto shared = std::make_shared<const Graph>(std::move(graph));
+  GenerationLease generation = BuildGeneration(shared, options, cache_metrics);
   const Status& options_status = generation->core().options_status();
   if (!options_status.ok()) return options_status;
 
@@ -102,7 +104,7 @@ Status GraphRegistry::Add(const std::string& name, Graph graph,
     MutexLock update_lock(&t->update_mu);
     MutexLock options_lock(&t->options_mu);
     MutexLock current_lock(&t->current_mu);
-    t->master = DynamicGraph::FromGraph(generation->graph());
+    t->master = DynamicGraph(std::move(shared));
     t->cache_metrics = std::move(cache_metrics);
     t->options = options;
     t->options_generation = generation->id();
@@ -173,23 +175,12 @@ Status GraphRegistry::RebuildLocked(Tenant* tenant) {
   // leave the tenant serving its old generation with nothing leaked.
   SIMPUSH_FAILPOINT("registry.rebuild");
   Timer timer;
-  // Delta fast path: patch only the rows dirtied since the last publish
-  // into a copy of the live generation's CSR arrays. SnapshotDelta
-  // rejects a mismatched base (e.g. a failed publish left the dirty set
-  // spanning two generations, or there is no published generation yet),
-  // in which case we fall back to the full O(n+m) snapshot — the result
-  // is byte-identical either way, only the build cost differs.
-  bool used_delta = false;
-  StatusOr<Graph> snapshot = Status::FailedPrecondition("no base");
-  {
-    const GenerationLease base = tenant->Current();
-    if (base != nullptr) {
-      snapshot = tenant->master.SnapshotDelta(base->graph());
-      used_delta = snapshot.ok();
-    }
-  }
-  if (!snapshot.ok()) snapshot = tenant->master.Snapshot();
+  // Patch only the rows changed since the last publish into a copy of
+  // the master's base, the CSR the live generation serves.
+  StatusOr<Graph> snapshot =
+      tenant->master.SnapshotDelta(*tenant->master.base());
   if (!snapshot.ok()) return snapshot.status();
+  auto graph = std::make_shared<const Graph>(*std::move(snapshot));
   // The tenant's own options, not the registry default — a hot swap
   // must never silently reset a tenant's ε/c/δ/seed.
   SimPushOptions options;
@@ -197,20 +188,19 @@ Status GraphRegistry::RebuildLocked(Tenant* tenant) {
     MutexLock lock(&tenant->options_mu);
     options = tenant->options;
   }
-  GenerationLease next =
-      BuildGeneration(*std::move(snapshot), options, tenant->cache_metrics);
+  GenerationLease next = BuildGeneration(graph, options, tenant->cache_metrics);
   SIMPUSH_RETURN_NOT_OK(next->core().options_status());
   // Chaos hook: failure after the (expensive) build but before the
   // publish — the fully-built `next` must unwind cleanly through the
   // live_generations gauge. MarkClean() must stay BELOW this point: a
-  // failed publish keeps the dirty set, so the next rebuild still
-  // deltas correctly against the still-live old generation.
+  // failed publish keeps the overlay and the old base, so the next
+  // rebuild still deltas correctly against the still-live generation.
   SIMPUSH_FAILPOINT("registry.publish");
-  tenant->master.MarkClean();
+  tenant->master.MarkClean(std::move(graph));
   tenant->pending.store(0);
   tenant->dirty_vertices.store(0);
   tenant->swap_count.fetch_add(1);
-  if (used_delta) tenant->delta_swaps.fetch_add(1);
+  tenant->delta_swaps.fetch_add(1);
   tenant->last_swap_us.store(
       static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
   MutexLock lock(&tenant->current_mu);
@@ -229,7 +219,6 @@ StatusOr<UpdateOutcome> GraphRegistry::ApplyUpdates(
   // matches RebuildLocked's REQUIRES(tenant->update_mu).
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
-  UpdateOutcome outcome;
   const Status apply_status = t->master.Apply(updates);
   if (!apply_status.ok()) {
     // Atomic batch semantics (DynamicGraph::Apply): nothing was
@@ -238,29 +227,18 @@ StatusOr<UpdateOutcome> GraphRegistry::ApplyUpdates(
     // graph. Rewrap as InvalidArgument so an edge-level failure (e.g.
     // removing an absent edge) cannot be confused with the tenant
     // itself being missing.
-    outcome.pending = t->pending.load();
-    const GenerationLease current = t->Current();
-    outcome.generation = current != nullptr ? current->id() : 0;
     return Status::InvalidArgument("batch rejected: " +
                                    std::string(apply_status.message()));
   }
-  outcome.applied = updates.size();
-  t->pending.fetch_add(outcome.applied);
-  t->updates_applied.fetch_add(outcome.applied);
+  t->pending.fetch_add(updates.size());
+  t->updates_applied.fetch_add(updates.size());
   t->master_edges.store(t->master.num_edges());
   t->dirty_vertices.store(t->master.dirty_vertices());
   const bool threshold_hit = options_.swap_threshold != 0 &&
                              t->pending.load() >= options_.swap_threshold;
-  if ((force_swap || threshold_hit) && t->pending.load() > 0) {
-    SIMPUSH_RETURN_NOT_OK(RebuildLocked(t));
-    outcome.swapped = true;
-  }
-  outcome.pending = t->pending.load();
-  {
-    const GenerationLease current = t->Current();
-    outcome.generation = current != nullptr ? current->id() : 0;
-  }
-  return outcome;
+  const bool swap = (force_swap || threshold_hit) && t->pending.load() > 0;
+  if (swap) SIMPUSH_RETURN_NOT_OK(RebuildLocked(t));
+  return t->Outcome(updates.size(), swap);
 }
 
 StatusOr<UpdateOutcome> GraphRegistry::Swap(std::string_view name) {
@@ -271,12 +249,7 @@ StatusOr<UpdateOutcome> GraphRegistry::Swap(std::string_view name) {
   Tenant* const t = tenant.get();
   MutexLock lock(&t->update_mu);
   SIMPUSH_RETURN_NOT_OK(RebuildLocked(t));
-  UpdateOutcome outcome;
-  outcome.swapped = true;
-  outcome.pending = t->pending.load();
-  const GenerationLease current = t->Current();
-  outcome.generation = current != nullptr ? current->id() : 0;
-  return outcome;
+  return t->Outcome(0, true);
 }
 
 StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
@@ -294,10 +267,11 @@ StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
   if (current == nullptr) {  // Raced with Remove().
     return Status::NotFound("no graph named \"" + std::string(name) + "\"");
   }
-  // Re-publish the CURRENT generation's graph, not a master snapshot:
-  // an options change must not smuggle in pending edge updates.
+  // Re-publish the CURRENT generation's graph — the master's base — not
+  // a master snapshot: an options change must not smuggle in pending
+  // edge updates. The new generation shares the CSR; nothing is copied.
   GenerationLease next =
-      BuildGeneration(Graph(current->graph()), options, t->cache_metrics);
+      BuildGeneration(t->master.base(), options, t->cache_metrics);
   SIMPUSH_RETURN_NOT_OK(next->core().options_status());
   SIMPUSH_FAILPOINT("registry.publish");
   {
@@ -306,10 +280,7 @@ StatusOr<UpdateOutcome> GraphRegistry::UpdateOptions(
     t->options_generation = next->id();
   }
   t->swap_count.fetch_add(1);
-  UpdateOutcome outcome;
-  outcome.swapped = true;
-  outcome.pending = t->pending.load();
-  outcome.generation = next->id();
+  const UpdateOutcome outcome{0, t->pending.load(), true, next->id()};
   MutexLock clock(&t->current_mu);
   t->current = std::move(next);
   return outcome;

@@ -6,22 +6,22 @@
 // that changed a moment ago. The registry turns that into a serving
 // capability. Each named tenant owns
 //
-//   - a DynamicGraph *master* copy that absorbs AddEdge/RemoveEdge
-//     updates, and
 //   - a published *generation*: an immutable bundle of
 //     Graph snapshot + EngineCore + WorkspacePool, held through
-//     std::shared_ptr<const GraphGeneration>.
+//     std::shared_ptr<const GraphGeneration>, and
+//   - a DynamicGraph *master* that absorbs AddEdge/RemoveEdge updates.
+//     It is not a second copy of the graph: it shares the current
+//     generation's CSR and holds only the rows changed since then.
 //
 // Queries take a lease (a shared_ptr copy) on the current generation
 // and run entirely against that bundle; a swap builds the next
 // generation in the background — DynamicGraph::SnapshotDelta patches
-// the rows dirtied since the last publish into a copy of the live
-// generation's CSR arrays, falling back to a full Snapshot() when no
-// valid base exists — and then publishes it with one pointer store. In-flight queries keep serving
-// from the generation they leased — they never block on a swap, never
-// observe a half-updated graph, and the old generation is freed
-// automatically when the last lease drops (classic RCU via shared_ptr
-// reference counts).
+// the master's changed rows into a copy of its base, the CSR the live
+// generation serves — and then publishes it with one pointer store.
+// In-flight queries keep serving from the generation they leased —
+// they never block on a swap, never observe a half-updated graph, and
+// the old generation is freed automatically when the last lease drops
+// (classic RCU via shared_ptr reference counts).
 //
 // One ThreadPool is shared across every tenant (batch fan-outs from all
 // graphs multiplex onto it), so the thread count is a process-level
@@ -95,7 +95,8 @@ class GraphGeneration {
   /// generation's result cache (0 = no cache); `cache_metrics` (may be
   /// null) carries the owning tenant's lifetime hit/miss counters
   /// across swaps.
-  GraphGeneration(uint64_t id, Graph graph, const SimPushOptions& options,
+  GraphGeneration(uint64_t id, std::shared_ptr<const Graph> graph,
+                  const SimPushOptions& options,
                   size_t pool_capacity,
                   std::shared_ptr<std::atomic<int64_t>> live_counter,
                   size_t cache_bytes = 0,
@@ -108,8 +109,10 @@ class GraphGeneration {
   /// Monotonically increasing across the whole registry; a response
   /// tagged with this id is reproducible from the generation's graph.
   uint64_t id() const { return id_; }
-  /// The immutable snapshot this generation serves.
-  const Graph& graph() const { return graph_; }
+  /// The immutable snapshot this generation serves. Shared with the
+  /// tenant's master while this generation is current, and with a
+  /// re-publish under new options.
+  const Graph& graph() const { return *graph_; }
   /// The shared engine core bound to graph().
   const EngineCore& core() const { return core_; }
   /// Per-generation scratch pool (internally synchronized; const
@@ -125,8 +128,8 @@ class GraphGeneration {
 
  private:
   const uint64_t id_;
-  const Graph graph_;
-  const EngineCore core_;          // References graph_.
+  const std::shared_ptr<const Graph> graph_;
+  const EngineCore core_;          // References *graph_.
   mutable WorkspacePool workspaces_;
   const uint64_t options_fingerprint_;
   const std::unique_ptr<ResultCache> cache_;
@@ -150,7 +153,9 @@ struct TenantStats {
   uint64_t pending_updates = 0;   ///< Master edits not yet snapshotted.
   uint64_t updates_applied = 0;   ///< Lifetime accepted edge updates.
   uint64_t swap_count = 0;        ///< Generations published (incl. first).
-  uint64_t delta_swaps = 0;       ///< Swaps that used the delta fast path.
+  /// Rebuilds from the master, each a delta against its base (the
+  /// options re-publishes make up the rest of swap_count - 1).
+  uint64_t delta_swaps = 0;
   /// Wall time of the most recent publish (snapshot + rebuild), ms.
   double last_swap_ms = 0;
   /// Master vertices dirtied since the last publish — the delta cost
@@ -264,6 +269,8 @@ class GraphRegistry {
   struct Tenant {
     // Serializes master mutation + snapshot + rebuild for this tenant.
     // Never held while executing queries; Lease() does not take it.
+    // The master's base is always the current generation's graph: both
+    // change together, at publish.
     Mutex update_mu;
     DynamicGraph master SIMPUSH_GUARDED_BY(update_mu);
     // The tenant's engine options and the generation they took effect
@@ -298,13 +305,19 @@ class GraphRegistry {
       MutexLock lock(&current_mu);
       return current;
     }
+    // What an ApplyUpdates/Swap call reports once it is done.
+    UpdateOutcome Outcome(size_t applied, bool swapped) const {
+      const GenerationLease lease = Current();
+      return {applied, pending.load(), swapped,
+              lease != nullptr ? lease->id() : 0};
+    }
   };
 
   // Builds a generation bundle around `graph` with the given engine
   // options (outside any lock). `cache_metrics` carries the owning
   // tenant's counters into the new generation's cache.
   GenerationLease BuildGeneration(
-      Graph graph, const SimPushOptions& options,
+      std::shared_ptr<const Graph> graph, const SimPushOptions& options,
       std::shared_ptr<ResultCacheMetrics> cache_metrics);
   // Snapshots tenant->master and publishes the result. The REQUIRES
   // annotation is the compiler-checked form of "caller holds

@@ -3,6 +3,7 @@
 #include "graph/dynamic_graph.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -284,9 +285,10 @@ TEST(DynamicGraphTest, SnapshotDeltaMatchesFullSnapshotSimpleCase) {
   auto base_graph = GenerateErdosRenyi(50, 300, /*seed=*/13);
   ASSERT_TRUE(base_graph.ok());
   DynamicGraph dynamic = DynamicGraph::FromGraph(*base_graph);
-  auto base = dynamic.Snapshot();
-  ASSERT_TRUE(base.ok());
-  dynamic.MarkClean();
+  auto snapshot = dynamic.Snapshot();
+  ASSERT_TRUE(snapshot.ok());
+  auto base = std::make_shared<const Graph>(*std::move(snapshot));
+  dynamic.MarkClean(base);
 
   ASSERT_TRUE(dynamic.AddEdge(3, 7).ok());
   ASSERT_TRUE(dynamic.AddEdge(3, 7).ok());  // Parallel edge.
@@ -330,9 +332,10 @@ TEST(DynamicGraphTest, SnapshotDeltaBitIdenticalAcrossRandomHistories) {
         start_nodes, start_nodes * 6, /*seed=*/seed * 31 + 1);
     ASSERT_TRUE(seeded.ok());
     DynamicGraph dynamic = DynamicGraph::FromGraph(*seeded);
-    auto base = dynamic.Snapshot();
-    ASSERT_TRUE(base.ok());
-    dynamic.MarkClean();
+    auto snapshot = dynamic.Snapshot();
+    ASSERT_TRUE(snapshot.ok());
+    auto base = std::make_shared<const Graph>(*std::move(snapshot));
+    dynamic.MarkClean(base);
 
     for (int publish = 0; publish < 8; ++publish) {
       const size_t ops = 1 + rng.NextBounded(60);
@@ -374,8 +377,8 @@ TEST(DynamicGraphTest, SnapshotDeltaBitIdenticalAcrossRandomHistories) {
                      std::to_string(publish));
         ExpectBitIdentical(*full, *delta);
       }
-      base = std::move(delta);
-      dynamic.MarkClean();
+      base = std::make_shared<const Graph>(*std::move(delta));
+      dynamic.MarkClean(base);
     }
   }
 }
@@ -387,6 +390,41 @@ TEST(DynamicGraphTest, MemoryBytesGrowsWithEdges) {
     ASSERT_TRUE(big.AddEdge(v, v + 1).ok());
   }
   EXPECT_GT(big.MemoryBytes(), small.MemoryBytes());
+}
+
+// The master shares its base instead of copying it: a clean master's
+// own footprint is a small constant, each touched row adds about its
+// degree, and a rebase drops the overlay back to that constant.
+TEST(DynamicGraphTest, CleanMasterHoldsOnlyDirtyRows) {
+  auto graph = GenerateChungLu(20000, 160000, /*exponent=*/2.5, /*seed=*/5);
+  ASSERT_TRUE(graph.ok());
+  ASSERT_GE(graph->num_edges(), 100000u);
+  DynamicGraph dynamic = DynamicGraph::FromGraph(*graph);
+  const std::shared_ptr<const Graph> base = dynamic.base();
+  const size_t clean_bytes = dynamic.MemoryBytes();
+  EXPECT_LT(clean_bytes * 100, base->MemoryBytes());
+  EXPECT_EQ(dynamic.dirty_vertices(), 0u);
+
+  // Touch k rows: an insert copies src's out-row and dst's in-row.
+  constexpr NodeId kTouched = 10;
+  size_t touched_entries = 0;
+  for (NodeId i = 0; i < kTouched; ++i) {
+    const NodeId src = 7 * i;
+    const NodeId dst = 7 * i + 3;
+    touched_entries += base->OutDegree(src) + base->InDegree(dst) + 2;
+    ASSERT_TRUE(dynamic.AddEdge(src, dst).ok());
+  }
+  EXPECT_EQ(dynamic.dirty_vertices(), 2 * kTouched);
+  const size_t grown = dynamic.MemoryBytes() - clean_bytes;
+  EXPECT_GE(grown, touched_entries * sizeof(NodeId));
+  // Capacity slack plus a fixed per-entry and per-bucket overhead.
+  EXPECT_LE(grown, 2 * touched_entries * sizeof(NodeId) + 256 * 2 * kTouched);
+
+  auto snapshot = dynamic.SnapshotDelta(*base);
+  ASSERT_TRUE(snapshot.ok());
+  dynamic.MarkClean(std::make_shared<const Graph>(*std::move(snapshot)));
+  EXPECT_EQ(dynamic.MemoryBytes(), clean_bytes);
+  EXPECT_EQ(dynamic.dirty_vertices(), 0u);
 }
 
 class UpdateStreamTest : public ::testing::TestWithParam<double> {};

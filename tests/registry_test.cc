@@ -403,6 +403,40 @@ TEST(RegistryTest, DeltaSwapPathAndStats) {
   }
 }
 
+// An options re-publish wraps the CSR the current generation already
+// serves (no copy), and leaves staged updates for the next Swap, which
+// publishes them as a delta against that shared CSR.
+TEST(RegistryTest, OptionsUpdateSharesCsr) {
+  GraphRegistry registry(FastRegistryOptions());
+  ASSERT_TRUE(registry.Add("g", testing_util::MakeFixtureGraph()).ok());
+  ASSERT_TRUE(
+      registry.ApplyUpdates("g", {{EdgeUpdate::Kind::kInsert, 0, 4}}).ok());
+  auto before = registry.Lease("g");
+  ASSERT_TRUE(before.ok());
+
+  SimPushOptions options = FastOptions();
+  options.epsilon = 0.2;
+  auto outcome = registry.UpdateOptions("g", options);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->pending, 1u);
+  auto after = registry.Lease("g");
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE((*after)->id(), (*before)->id());
+  EXPECT_EQ(&(*after)->graph(), &(*before)->graph());
+  EXPECT_EQ((*after)->core().options().epsilon, 0.2);
+
+  ASSERT_TRUE(registry.Swap("g").ok());
+  auto swapped = registry.Lease("g");
+  ASSERT_TRUE(swapped.ok());
+  EXPECT_EQ((*swapped)->graph().num_edges(),
+            (*before)->graph().num_edges() + 1);
+  auto stats = registry.Stats("g");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->pending_updates, 0u);
+  EXPECT_EQ(stats->swap_count, 3u);
+  EXPECT_EQ(stats->delta_swaps, 1u);
+}
+
 // The headline stress: four threads hammer one tenant while the main
 // thread applies edge-update batches and hot swaps. Every observed
 // response must be bit-identical to a fresh single-threaded engine on
