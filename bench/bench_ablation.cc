@@ -14,6 +14,7 @@
 #include "simpush/reverse_push.h"
 #include "simpush/simpush.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 
 namespace {
 
@@ -29,18 +30,21 @@ double TimeSeparateReversePush(const Graph& graph, NodeId u, double eps,
   o.walk_budget_cap = 50000;
   const DerivedParams params = ComputeDerivedParams(o);
   Rng rng(o.seed);
-  auto gu = SourcePush(graph, u, o, params, &rng, nullptr);
-  if (!gu.ok()) return -1;
-  HittingTable table = ComputeHittingTable(graph, *gu, params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(*gu, table);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  if (!SourcePushInto(graph, u, o, params, &rng, &workspace, &gu, nullptr)
+           .ok()) {
+    return -1;
+  }
+  HittingTable table = ComputeHittingTable(graph, gu, params.sqrt_c);
+  auto gamma = ComputeLastMeetingProbabilities(gu, table);
 
   Timer timer;
   std::vector<double> scores(graph.num_nodes(), 0.0);
-  QueryWorkspace workspace;
   // One single-attention G_u shell per occurrence.
   SourceGraph single;
-  for (AttentionId id = 0; id < gu->num_attention(); ++id) {
-    const AttentionNode& w = gu->attention_nodes()[id];
+  for (AttentionId id = 0; id < gu.num_attention(); ++id) {
+    const AttentionNode& w = gu.attention_nodes()[id];
     single.Reset(w.level, graph.num_nodes());
     single.AddAttentionNode(w.node, w.level, w.hitting_prob);
     std::vector<double> single_gamma{gamma[id]};

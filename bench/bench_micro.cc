@@ -143,8 +143,20 @@ void BM_GraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBuild)->Range(1 << 10, 1 << 14)->Complexity();
 
-void BM_SourcePushStage(benchmark::State& state) {
-  const Graph& g = BenchGraph();
+// A Chung–Lu graph whose 8n-byte Source-Push accumulator (4 MB)
+// outgrows a per-core L2, unlike BenchGraph's (160 KB): the case where
+// the accumulator's random writes miss. Built once per process, on
+// first use.
+const Graph& L2SpillGraph() {
+  static const Graph graph = [] {
+    auto g = GenerateChungLu(500000, 6000000, 2.2, 4096);
+    if (!g.ok()) std::abort();
+    return std::move(g).value();
+  }();
+  return graph;
+}
+
+void RunSourcePushStage(benchmark::State& state, const Graph& g) {
   SimPushOptions o;
   o.epsilon = 0.02;
   o.walk_budget_cap = 20000;
@@ -162,7 +174,16 @@ void BM_SourcePushStage(benchmark::State& state) {
     u = (u + 37) % g.num_nodes();
   }
 }
+
+void BM_SourcePushStage(benchmark::State& state) {
+  RunSourcePushStage(state, BenchGraph());
+}
 BENCHMARK(BM_SourcePushStage);
+
+void BM_SourcePushStageL2Spill(benchmark::State& state) {
+  RunSourcePushStage(state, L2SpillGraph());
+}
+BENCHMARK(BM_SourcePushStageL2Spill)->Name("BM_SourcePushStage/n500k");
 
 void BM_GammaStage(benchmark::State& state) {
   const Graph& g = BenchGraph();
@@ -171,14 +192,16 @@ void BM_GammaStage(benchmark::State& state) {
   o.walk_budget_cap = 20000;
   const DerivedParams params = ComputeDerivedParams(o);
   Rng rng(4);
-  auto gu = SourcePush(g, 11, o, params, &rng, nullptr);
-  if (!gu.ok()) std::abort();
   QueryWorkspace workspace;
+  SourceGraph gu;
+  if (!SourcePushInto(g, 11, o, params, &rng, &workspace, &gu, nullptr).ok()) {
+    std::abort();
+  }
   HittingTable table;
   std::vector<double> gamma;
   for (auto _ : state) {
-    ComputeHittingTable(g, *gu, params.sqrt_c, &workspace, &table);
-    ComputeLastMeetingProbabilities(*gu, table, &workspace, &gamma);
+    ComputeHittingTable(g, gu, params.sqrt_c, &workspace, &table);
+    ComputeLastMeetingProbabilities(gu, table, &workspace, &gamma);
     benchmark::DoNotOptimize(gamma);
   }
 }
@@ -191,15 +214,17 @@ void BM_ReversePushStage(benchmark::State& state) {
   o.walk_budget_cap = 20000;
   const DerivedParams params = ComputeDerivedParams(o);
   Rng rng(5);
-  auto gu = SourcePush(g, 11, o, params, &rng, nullptr);
-  if (!gu.ok()) std::abort();
-  HittingTable table = ComputeHittingTable(g, *gu, params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(*gu, table);
   QueryWorkspace workspace;
+  SourceGraph gu;
+  if (!SourcePushInto(g, 11, o, params, &rng, &workspace, &gu, nullptr).ok()) {
+    std::abort();
+  }
+  HittingTable table = ComputeHittingTable(g, gu, params.sqrt_c);
+  auto gamma = ComputeLastMeetingProbabilities(gu, table);
   std::vector<double> scores(g.num_nodes(), 0.0);
   for (auto _ : state) {
     std::fill(scores.begin(), scores.end(), 0.0);
-    (void)ReversePush(g, *gu, gamma, params.sqrt_c, params.eps_h, &workspace,
+    (void)ReversePush(g, gu, gamma, params.sqrt_c, params.eps_h, &workspace,
                       &scores, nullptr);
     benchmark::DoNotOptimize(scores);
   }

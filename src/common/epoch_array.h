@@ -2,12 +2,14 @@
 // T{} before every use", physically a pair of flat vectors whose reset
 // is a single generation-counter bump instead of an O(n) clear.
 //
-// The query hot path needs several n-sized accumulators (residue values,
-// membership marks, index maps) that each query uses sparsely. Zeroing
-// them per query costs O(n) — on web-scale graphs that dwarfs the push
-// work itself. An EpochArray stamps every written slot with the current
-// epoch; a slot whose stamp is stale reads as T{}. Starting a new epoch
-// is O(1), with one O(n) stamp wipe every 2^32 - 1 epochs at wraparound.
+// The hitting stage needs n-sized scratch (membership marks, index
+// maps) that each query uses sparsely. Zeroing it per query costs O(n)
+// — on web-scale graphs that dwarfs the work itself. An EpochArray
+// stamps every written slot with the current epoch; a slot whose stamp
+// is stale reads as T{}. Starting a new epoch is O(1), with one O(n)
+// stamp wipe every 2^32 - 1 epochs at wraparound. (The push stages'
+// accumulators carry no stamps: they restore their zeros as they go;
+// see simpush/workspace.h.)
 
 #ifndef SIMPUSH_COMMON_EPOCH_ARRAY_H_
 #define SIMPUSH_COMMON_EPOCH_ARRAY_H_
@@ -58,22 +60,6 @@ class EpochArray {
       values_[i] = T{};
     }
     return values_[i];
-  }
-
-  /// Unchecked mutable reference. Precondition: IsSet(i).
-  T& RawRef(size_t i) { return values_[i]; }
-
-  /// values_[i] += delta, treating a stale slot as T{}. One branch, no
-  /// membership signal back to the caller — scatter loops that track
-  /// membership elsewhere (e.g. a bitmask) use this instead of
-  /// IsSet + Set/RawRef to keep the hot path to a single probe.
-  void Accumulate(size_t i, T delta) {
-    if (epochs_[i] != epoch_) {
-      epochs_[i] = epoch_;
-      values_[i] = delta;
-    } else {
-      values_[i] += delta;
-    }
   }
 
   /// Hints the loads behind a future Get(i)/IsSet(i) (both the stamp

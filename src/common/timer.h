@@ -1,7 +1,10 @@
-// Monotonic wall-clock timing utilities.
+// Monotonic wall-clock timing utilities, plus the calling thread's CPU
+// clock.
 
 #ifndef SIMPUSH_COMMON_TIMER_H_
 #define SIMPUSH_COMMON_TIMER_H_
+
+#include <time.h>
 
 #include <chrono>
 #include <cstdint>
@@ -31,6 +34,16 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// CPU seconds the calling thread has consumed so far
+/// (CLOCK_THREAD_CPUTIME_ID). A difference around a call is the CPU it
+/// took on this thread: time the thread spent descheduled or blocked
+/// does not count, unlike a Timer's.
+inline double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
+}
 
 /// Accumulates elapsed time across several start/stop intervals; used by
 /// the benchmark harness to attribute time to algorithm stages.

@@ -542,8 +542,9 @@ StatusOr<bool> SimPushService::RunSingleSource(
   if (epsilon.has_value()) override_core.emplace(generation.graph(), merged);
   QueryRunner runner(override_core ? *override_core : generation.core(),
                      generation.workspaces(), cancel);
+  const double cpu_start = ThreadCpuSeconds();
   SIMPUSH_RETURN_NOT_OK(runner.QueryInto(u, result));
-  AccumulateEngineTotals(result->stats);
+  AccumulateEngineTotals(ThreadCpuSeconds() - cpu_start, result->stats);
   // Best-effort: a rejected insert (budget, admission duel, injected
   // failure) just means this computed answer is served uncached.
   if (cache != nullptr) cache->Insert(u, fingerprint, *result);
@@ -561,9 +562,9 @@ Status SimPushService::RunQuery(NodeId u, SimPushResult* result) {
   return RunQuery(options_.default_graph, u, result);
 }
 
-void SimPushService::AccumulateEngineTotals(const SimPushQueryStats& stats) {
-  engine_query_nanos_.fetch_add(
-      static_cast<uint64_t>(stats.total_seconds * 1e9));
+void SimPushService::AccumulateEngineTotals(double cpu_seconds,
+                                            const SimPushQueryStats& stats) {
+  engine_query_nanos_.fetch_add(static_cast<uint64_t>(cpu_seconds * 1e9));
   engine_walks_.fetch_add(stats.walks_sampled);
 }
 

@@ -250,9 +250,11 @@ class SimPushService {
   /// tenant ring — the caller looked the tenant up once per request.
   void RecordLatency(const std::shared_ptr<TenantMetrics>& metrics,
                      double seconds);
-  /// Folds one successful query's stats into the service-wide engine
-  /// counters surfaced by /v1/stats. Allocation-free.
-  void AccumulateEngineTotals(const SimPushQueryStats& stats);
+  /// Folds one successful query's thread CPU seconds and stats into the
+  /// service-wide engine counters surfaced by /v1/stats.
+  /// Allocation-free.
+  void AccumulateEngineTotals(double cpu_seconds,
+                              const SimPushQueryStats& stats);
   /// The one single-source execution path (RunQuery, /v1/query,
   /// /v1/topk and every /v1/batch source): the generation's result
   /// cache, keyed by the fingerprint of the merged effective options;
@@ -312,9 +314,9 @@ class SimPushService {
   std::atomic<uint64_t> bad_requests_{0};
   std::atomic<uint64_t> deadline_expired_{0};   // 504s, all graphs.
   std::atomic<uint64_t> client_abandoned_{0};   // 499s, all graphs.
-  // Engine-side totals summed from each successful query's stats by
-  // RunSingleSource, for every query endpoint: wall seconds spent
-  // inside queries and level-detection walks.
+  // Engine-side totals summed over each successful query by
+  // RunSingleSource, for every query endpoint: the thread's CPU nanos
+  // inside QueryInto and level-detection walks.
   std::atomic<uint64_t> engine_query_nanos_{0};
   std::atomic<uint64_t> engine_walks_{0};
 

@@ -53,13 +53,15 @@ ParallelBatchStats ParallelQueryBatch(
         SimPushResult result;  // Buffers reused across the whole chunk.
         for (size_t i = begin; i < end; ++i) {
           const NodeId u = queries[i];
-          if (!runner.QueryInto(u, &result).ok()) {
+          const double cpu_start = ThreadCpuSeconds();
+          const Status status = runner.QueryInto(u, &result);
+          cpu_nanos.fetch_add(static_cast<uint64_t>(
+              (ThreadCpuSeconds() - cpu_start) * 1e9));
+          if (!status.ok()) {
             failed.fetch_add(1);
             continue;
           }
           ok.fetch_add(1);
-          cpu_nanos.fetch_add(
-              static_cast<uint64_t>(result.stats.total_seconds * 1e9));
           MutexLock lock(&result_mu);
           on_result(u, result);
         }

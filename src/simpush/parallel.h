@@ -73,7 +73,7 @@ struct ParallelBatchStats {
   size_t queries_ok = 0;        ///< Queries that returned scores.
   size_t queries_failed = 0;    ///< Queries skipped (e.g. bad node id).
   double wall_seconds = 0;      ///< End-to-end elapsed time.
-  double cpu_query_seconds = 0; ///< Sum of per-query times across workers.
+  double cpu_query_seconds = 0; ///< Workers' thread CPU inside QueryInto.
   size_t num_threads = 0;       ///< Worker threads the batch ran on.
 };
 

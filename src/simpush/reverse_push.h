@@ -30,7 +30,9 @@ struct ReversePushStats {
 /// by the caller (the driver), matching Algorithm 5 line 10. The
 /// workspace provides the dense residue scratch (shared with
 /// Source-Push — the stages run sequentially); the call is
-/// allocation-free once the workspace is warm.
+/// allocation-free once the workspace is warm. Those arrays must be
+/// all zero on entry, and are again on every return, a cancelled one
+/// included.
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride pushed
 /// nodes; a fired token aborts with kCancelled/kDeadlineExceeded and

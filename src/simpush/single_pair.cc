@@ -6,6 +6,7 @@
 #include "simpush/hitting.h"
 #include "simpush/last_meeting.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 
 namespace simpush {
 
@@ -29,19 +30,21 @@ StatusOr<SinglePairSession> SinglePairSession::Create(
   // Stages 1-2 of Algorithm 1: attention discovery + γ correction.
   SourcePushStats sp_stats;
   Rng source_rng = session.rng_.Fork();
-  auto gu = SourcePush(graph, u, options, params, &source_rng, &sp_stats);
-  if (!gu.ok()) return gu.status();
-  std::vector<double> gamma(gu->num_attention(), 1.0);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  SIMPUSH_RETURN_NOT_OK(SourcePushInto(graph, u, options, params, &source_rng,
+                                       &workspace, &gu, &sp_stats));
+  std::vector<double> gamma(gu.num_attention(), 1.0);
   if (options.use_gamma_correction) {
-    HittingTable hitting = ComputeHittingTable(graph, *gu, params.sqrt_c);
-    gamma = ComputeLastMeetingProbabilities(*gu, hitting);
+    HittingTable hitting = ComputeHittingTable(graph, gu, params.sqrt_c);
+    gamma = ComputeLastMeetingProbabilities(gu, hitting);
   }
 
-  session.max_level_ = gu->max_level();
-  session.num_attention_ = gu->num_attention();
-  session.residues_.assign(gu->max_level(), {});
-  for (AttentionId id = 0; id < gu->num_attention(); ++id) {
-    const AttentionNode& attention = gu->attention_nodes()[id];
+  session.max_level_ = gu.max_level();
+  session.num_attention_ = gu.num_attention();
+  session.residues_.assign(gu.max_level(), {});
+  for (AttentionId id = 0; id < gu.num_attention(); ++id) {
+    const AttentionNode& attention = gu.attention_nodes()[id];
     // Levels are 1..L; store at index level-1. Attention occurrences
     // arrive in node order per level, which Estimate's lookup needs.
     session.residues_[attention.level - 1].emplace_back(

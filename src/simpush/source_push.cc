@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <string>
 
 #include "simpush/workspace.h"
@@ -11,6 +12,11 @@
 namespace simpush {
 
 namespace {
+
+// Source-Push accumulator prefetch distance, in row entries: far enough
+// ahead to cover a miss to L3 at the loop's rate, short enough to land
+// inside the rows of a power-law graph where most edges sit.
+constexpr size_t kPushPrefetchDistance = 16;
 
 // Algorithm 2 lines 1-8: sample N √c-walks from u, tally per-level visit
 // counts H^(l)(u, v), and return the largest level where some node's
@@ -92,50 +98,73 @@ Status SourcePushInto(const Graph& graph, NodeId u,
 
   // Lines 9-19: level-wise propagation h^(ℓ+1)(u, v') += √c·h^(ℓ)(u,v)/d_I(v)
   // for every in-neighbor v' of every frontier node v. The inner loop
-  // runs on the workspace's epoch-stamped dense arrays (hash maps per
-  // level would dominate query time on dense graphs) and ORs each
-  // in-neighbor into level ℓ+1's membership bits — unconditionally, no
-  // was-it-set branch, no push per first touch.
-  EpochArray<double>& current = workspace->dense_a;
-  EpochArray<double>& next = workspace->dense_b;
+  // adds into the workspace's plain dense arrays (hash maps per level
+  // would dominate query time on dense graphs) and ORs each in-neighbor
+  // into level ℓ+1's membership bits — unconditionally: no stamp, no
+  // was-it-set branch, no push per first touch. The arrays are all zero
+  // between stages and every slot starts at exactly 0.0, so the first
+  // add stores the share itself (0.0 + x == x) and the sums keep the
+  // bits of a first-write scheme. The stage restores the zeros before
+  // it returns: reading a frontier node's h zeroes its slot, and a
+  // cancelled return also clears the half-pushed level.
+  double* current = workspace->dense_a.data();
+  double* next = workspace->dense_b.data();
   std::vector<NodeId>& frontier = workspace->frontier_a;
   std::vector<NodeId>& frontier_next = workspace->frontier_b;
   const size_t words = (static_cast<size_t>(graph.num_nodes()) + 63) / 64;
-  current.BeginEpoch();
-  next.BeginEpoch();
   frontier.clear();
   frontier.push_back(u);
-  current.Set(u, 1.0);
+  current[u] = 1.0;
   size_t occurrences = 0;
   uint32_t since_poll = 0;
-  for (uint32_t level = 0; level < max_level; ++level) {
-    if (frontier.empty()) break;
+  for (uint32_t level = 0; level < max_level && !frontier.empty(); ++level) {
     uint64_t* bits = gu->LevelBits(level + 1);
-    size_t wlo = words, whi = 0;
     for (size_t i = 0; i < frontier.size(); ++i) {
       // Per-occurrence cancellation stride (same contract as the walk
       // loop above: a poll reads state only). A cancelled return leaves
       // a partial G_u, which the next Reset() wipes.
       if (++since_poll >= kCancelCheckStride) {
         since_poll = 0;
-        SIMPUSH_RETURN_NOT_OK(CheckCancel(cancel));
+        const Status status = CheckCancel(cancel);
+        if (!status.ok()) {
+          for (size_t k = i; k < frontier.size(); ++k) {
+            current[frontier[k]] = 0.0;
+          }
+          for (size_t wi = 0; wi < words; ++wi) {
+            for (uint64_t m = bits[wi]; m != 0; m &= m - 1) {
+              next[wi * 64 + std::countr_zero(m)] = 0.0;
+            }
+          }
+          return status;
+        }
       }
       // The frontier is sorted ascending (see below), so the in-CSR
       // rows stream near-sequentially; hint the next rows' offsets so
       // their misses overlap with this row's pushes.
       if (i + 4 < frontier.size()) graph.PrefetchInOffsets(frontier[i + 4]);
       const NodeId v = frontier[i];
-      const double h = current.RawRef(v);
-      const uint32_t deg = graph.InDegree(v);
+      const double h = current[v];
+      current[v] = 0.0;
+      const std::span<const NodeId> row = graph.InNeighbors(v);
+      const size_t deg = row.size();
       if (deg == 0) continue;
       const double share = params.sqrt_c * h / deg;
-      for (NodeId vp : graph.InNeighbors(v)) {
-        next.Accumulate(vp, share);
-        const size_t w = vp >> 6;
-        bits[w] |= uint64_t{1} << (vp & 63);
-        if (w < wlo) wlo = w;
-        if (w > whi) whi = w;
+      // The accumulator slots are random writes over an 8n-byte array
+      // that outgrows L2; hint the slot kPushPrefetchDistance entries
+      // ahead in the row so the misses overlap. The hinted part of the
+      // row runs without a bounds test, the short tail without hints.
+      auto push = [&](NodeId vp) {
+        next[vp] += share;
+        bits[vp >> 6] |= uint64_t{1} << (vp & 63);
+      };
+      size_t j = 0;
+#if defined(__GNUC__) || defined(__clang__)
+      for (; j + kPushPrefetchDistance < deg; ++j) {
+        __builtin_prefetch(&next[row[j + kPushPrefetchDistance]], /*rw=*/1);
+        push(row[j]);
       }
+#endif
+      for (; j < deg; ++j) push(row[j]);
     }
     // Emit scan over the level's set bits, in node order: the next
     // frontier comes out ascending by construction (no sort), which
@@ -146,21 +175,22 @@ Status SourcePushInto(const Graph& graph, NodeId u,
     // h^(ℓ)(u, w) >= ε_h), appending them in node order as SourceGraph
     // requires.
     frontier_next.clear();
-    for (size_t wi = wlo; wi <= whi; ++wi) {
+    for (size_t wi = 0; wi < words; ++wi) {
       for (uint64_t m = bits[wi]; m != 0; m &= m - 1) {
         const NodeId vp = static_cast<NodeId>(wi * 64 + std::countr_zero(m));
         frontier_next.push_back(vp);
-        const double h = next.RawRef(vp);
+        const double h = next[vp];
         if (h >= params.eps_h) gu->AddAttentionNode(vp, level + 1, h);
       }
     }
     occurrences += frontier_next.size();
-    // The consumed level's stamps are wiped in O(1) so the array can be
-    // reused as the next level's accumulator after the swap.
-    current.BeginEpoch();
+    // The consumed level's slots are zero again, so the array serves as
+    // the next level's accumulator after the swap.
     std::swap(current, next);
     std::swap(frontier, frontier_next);
   }
+  // The deepest level explored was never consumed: zero its slots.
+  for (NodeId v : frontier) current[v] = 0.0;
 
   if (stats != nullptr) {
     stats->detected_level = max_level;
@@ -169,17 +199,6 @@ Status SourcePushInto(const Graph& graph, NodeId u,
     stats->num_attention = gu->num_attention();
   }
   return Status::OK();
-}
-
-StatusOr<SourceGraph> SourcePush(const Graph& graph, NodeId u,
-                                 const SimPushOptions& options,
-                                 const DerivedParams& params, Rng* rng,
-                                 SourcePushStats* stats) {
-  QueryWorkspace workspace;
-  SourceGraph gu;
-  SIMPUSH_RETURN_NOT_OK(SourcePushInto(graph, u, options, params, rng,
-                                       &workspace, &gu, stats));
-  return gu;
 }
 
 }  // namespace simpush

@@ -31,7 +31,8 @@ struct SourcePushStats {
 /// by `workspace`, but any SourceGraph works — it is Reset first).
 /// `params` carries ε_h, L*, and the walk budget; `rng` supplies the
 /// level-detection randomness. Allocation-free once the workspace and
-/// `gu` are warm.
+/// `gu` are warm. The workspace's dense arrays must be all zero on
+/// entry, and are again on every return, a cancelled one included.
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride walks
 /// (level detection) and pushed occurrences (propagation); a fired
@@ -44,13 +45,6 @@ Status SourcePushInto(const Graph& graph, NodeId u,
                       QueryWorkspace* workspace, SourceGraph* gu,
                       SourcePushStats* stats,
                       const CancelToken* cancel = nullptr);
-
-/// Convenience overload for tests and one-shot callers: allocates its
-/// own workspace and returns G_u by value.
-StatusOr<SourceGraph> SourcePush(const Graph& graph, NodeId u,
-                                 const SimPushOptions& options,
-                                 const DerivedParams& params, Rng* rng,
-                                 SourcePushStats* stats);
 
 }  // namespace simpush
 

@@ -58,10 +58,15 @@ uint64_t LevelNodeTally::Increment(uint64_t key) {
 }
 
 void QueryWorkspace::Prepare(NodeId num_nodes) {
-  dense_a.Resize(num_nodes);
-  dense_b.Resize(num_nodes);
-  dense_a.BeginEpoch();
-  dense_b.BeginEpoch();
+  // Growing keeps the all-zero invariant: new slots are zero, and a
+  // smaller graph leaves the (zero) tail unread.
+  if (dense_a.size() < num_nodes) {
+    dense_a.resize(num_nodes, 0.0);
+    dense_b.resize(num_nodes, 0.0);
+    const size_t words = (static_cast<size_t>(num_nodes) + 63) / 64;
+    touched_a.resize(words, 0);
+    touched_b.resize(words, 0);
+  }
   frontier_a.clear();
   frontier_b.clear();
   holder_span.Resize(num_nodes);

@@ -5,19 +5,25 @@
 // Ownership map (stage → scratch):
 //   Source-Push (Alg. 2)   — level_tally (walk level detection),
 //                            dense_a/dense_b + frontier_a/frontier_b
-//                            (level-wise residue propagation),
-//                            source_graph (the G_u being built: level
-//                            membership bits + attention occurrences).
+//                            (level-wise residue propagation; the
+//                            level bits of source_graph mark what
+//                            dense_b holds), source_graph (the G_u
+//                            being built: level membership bits +
+//                            attention occurrences).
 //   Hitting (Alg. 3)       — holder_span/receiver_marks, receivers,
 //                            attention_accum/scratch_bits,
 //                            hitting_table; membership is read from
 //                            source_graph.
 //   Last-meeting (Alg. 4)  — gamma_scratch, gamma.
 //   Reverse-Push (Alg. 5)  — dense_a/dense_b + frontier_a/frontier_b
-//                            again (the stages are sequential).
+//                            again (the stages are sequential), plus
+//                            touched_a/touched_b (first-touch masks).
 //
-// All buffers grow to a high-water mark and are logically cleared per
-// query by epoch bumps or O(touched) clears — never O(n) sweeps.
+// All buffers grow to a high-water mark and are cleared per query by
+// epoch bumps or O(touched) clears — never O(n) sweeps. The push
+// accumulators carry no stamps: they are all zero between stages, and
+// each push stage restores the zeros over what it touched before it
+// returns, a cancelled return included.
 
 #ifndef SIMPUSH_SIMPUSH_WORKSPACE_H_
 #define SIMPUSH_SIMPUSH_WORKSPACE_H_
@@ -85,16 +91,22 @@ struct GammaScratch {
 class QueryWorkspace {
  public:
   /// Readies the workspace for one query on an n-node graph: grows the
-  /// dense arrays to n (no-op after the first query) and starts fresh
-  /// epochs. O(1) once warm.
+  /// dense arrays to n (no-op after the first query). O(1) once warm.
   void Prepare(NodeId num_nodes);
 
   // --- Dense per-node value scratch, shared by Source-Push (levels) and
-  // Reverse-Push (residues); both consume it level by level.
-  EpochArray<double> dense_a;
-  EpochArray<double> dense_b;
+  // Reverse-Push (residues); both consume it level by level. All zero
+  // between stages, so a push adds into a slot without a first-touch
+  // test (0.0 + x == x: the sums are the same bits as a stamped first
+  // write).
+  std::vector<double> dense_a;
+  std::vector<double> dense_b;
   std::vector<NodeId> frontier_a;
   std::vector<NodeId> frontier_b;
+  // Reverse-Push's first-touch bitmasks over dense_a/dense_b, one bit
+  // per node (⌈n/64⌉ words); all zero between stages.
+  std::vector<uint64_t> touched_a;
+  std::vector<uint64_t> touched_b;
 
   // --- Source-Push level detection.
   LevelNodeTally level_tally;

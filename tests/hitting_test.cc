@@ -8,6 +8,7 @@
 #include "simpush/hitting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "test_util.h"
 
 namespace simpush {
@@ -28,9 +29,9 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   options.use_level_detection = false;
   f.params = ComputeDerivedParams(options);
   Rng rng(seed);
-  auto gu = SourcePush(f.graph, u, options, f.params, &rng, nullptr);
-  EXPECT_TRUE(gu.ok());
-  f.gu = std::move(gu).value();
+  QueryWorkspace workspace;
+  EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
+                             &f.gu, nullptr).ok());
   return f;
 }
 
@@ -146,10 +147,12 @@ TEST(HittingTest, EmptyWhenMaxLevelBelowTwo) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(1);
-  auto gu = SourcePush(*star, 0, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  if (gu->max_level() < 2) {
-    HittingTable table = ComputeHittingTable(*star, *gu, params.sqrt_c);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(*star, 0, options, params, &rng, &workspace, &gu,
+                             nullptr).ok());
+  if (gu.max_level() < 2) {
+    HittingTable table = ComputeHittingTable(*star, gu, params.sqrt_c);
     EXPECT_EQ(table.NumVectors(), 0u);
     EXPECT_EQ(table.NumEntries(), 0u);
   }

@@ -11,6 +11,7 @@
 #include "simpush/last_meeting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "test_util.h"
 
 namespace simpush {
@@ -30,9 +31,9 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   options.use_level_detection = false;
   f.params = ComputeDerivedParams(options);
   Rng rng(seed);
-  auto gu = SourcePush(f.graph, u, options, f.params, &rng, nullptr);
-  EXPECT_TRUE(gu.ok());
-  f.gu = std::move(gu).value();
+  QueryWorkspace workspace;
+  EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
+                             &f.gu, nullptr).ok());
   return f;
 }
 

@@ -12,6 +12,7 @@
 #include "simpush/last_meeting.h"
 #include "simpush/options.h"
 #include "simpush/source_push.h"
+#include "simpush/workspace.h"
 #include "walk/walk_stats.h"
 
 namespace simpush {
@@ -31,9 +32,11 @@ SourceRun RunSourcePush(const Graph& graph, NodeId u, double epsilon) {
   DerivedParams params = ComputeDerivedParams(options);
   SourcePushStats stats;
   Rng rng(options.seed);
-  auto gu = SourcePush(graph, u, options, params, &rng, &stats);
-  EXPECT_TRUE(gu.ok());
-  return {std::move(*gu), params, options};
+  QueryWorkspace workspace;
+  SourceRun run{{}, params, options};
+  EXPECT_TRUE(SourcePushInto(graph, u, options, params, &rng, &workspace,
+                             &run.gu, &stats).ok());
+  return run;
 }
 
 TEST(Lemma2Test, AttentionCountAndDepthBounds) {

@@ -85,6 +85,22 @@ TEST(ParallelBatchTest, ResultsIndependentOfThreadCount) {
   }
 }
 
+TEST(ParallelBatchTest, CpuSecondsAreBoundedByWorkerWallTime) {
+  // cpu_query_seconds sums each worker's thread CPU time inside
+  // QueryInto, so it is positive for real work and cannot exceed what
+  // num_threads threads could burn in the batch's wall time.
+  auto graph = GenerateChungLu(2000, 16000, 2.4, 11);
+  ASSERT_TRUE(graph.ok());
+  QueryExecutor executor(*graph, TestOptions(), /*num_threads=*/4);
+  auto stats = ParallelQueryBatch(executor, FirstNodes(32),
+                                  [](NodeId, const SimPushResult&) {});
+  ASSERT_EQ(stats.queries_ok, 32u);
+  EXPECT_GT(stats.cpu_query_seconds, 0.0);
+  const double slack = 0.01;  // Clock reads at the edges of the batch.
+  EXPECT_LE(stats.cpu_query_seconds,
+            stats.wall_seconds * stats.num_threads + slack);
+}
+
 TEST(ParallelBatchTest, EmptyQuerySet) {
   auto graph = GenerateErdosRenyi(30, 120, 3);
   ASSERT_TRUE(graph.ok());

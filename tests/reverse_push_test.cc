@@ -30,9 +30,9 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   options.use_level_detection = false;
   f.params = ComputeDerivedParams(options);
   Rng rng(seed);
-  auto gu = SourcePush(f.graph, u, options, f.params, &rng, nullptr);
-  EXPECT_TRUE(gu.ok());
-  f.gu = std::move(gu).value();
+  QueryWorkspace workspace;
+  EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
+                             &f.gu, nullptr).ok());
   HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
   f.gamma = ComputeLastMeetingProbabilities(f.gu, table);
   return f;

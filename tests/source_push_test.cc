@@ -66,19 +66,21 @@ TEST(SourcePushTest, MembershipMatchesExactDP) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(1);
   SourcePushStats stats;
-  auto gu = SourcePush(g, 0, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  auto exact = ExactHittingProbabilities(g, 0, gu->max_level(), params.sqrt_c);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
+                             &stats).ok());
+  auto exact = ExactHittingProbabilities(g, 0, gu.max_level(), params.sqrt_c);
   size_t occurrences = 0;
-  for (uint32_t level = 0; level <= gu->max_level(); ++level) {
+  for (uint32_t level = 0; level <= gu.max_level(); ++level) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(gu->Contains(level, v), exact[level][v] > 0)
+      EXPECT_EQ(gu.Contains(level, v), exact[level][v] > 0)
           << "level " << level << " node " << v;
-      if (level >= 1 && gu->Contains(level, v)) ++occurrences;
+      if (level >= 1 && gu.Contains(level, v)) ++occurrences;
     }
   }
   EXPECT_EQ(stats.gu_node_occurrences, occurrences);
-  EXPECT_FALSE(gu->Contains(gu->max_level() + 1, 0));
+  EXPECT_FALSE(gu.Contains(gu.max_level() + 1, 0));
 }
 
 TEST(SourcePushTest, AttentionNodesAreExactlyThoseAboveThreshold) {
@@ -90,18 +92,20 @@ TEST(SourcePushTest, AttentionNodesAreExactlyThoseAboveThreshold) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(2);
-  auto gu = SourcePush(g, 2, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  auto exact = ExactHittingProbabilities(g, 2, gu->max_level(), params.sqrt_c);
-  for (uint32_t level = 1; level <= gu->max_level(); ++level) {
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 2, options, params, &rng, &workspace, &gu,
+                             nullptr).ok());
+  auto exact = ExactHittingProbabilities(g, 2, gu.max_level(), params.sqrt_c);
+  for (uint32_t level = 1; level <= gu.max_level(); ++level) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       AttentionId id;
-      const bool is_attention = gu->LookupAttention(level, v, &id);
+      const bool is_attention = gu.LookupAttention(level, v, &id);
       EXPECT_EQ(is_attention, exact[level][v] >= params.eps_h)
           << "level " << level << " node " << v << " h=" << exact[level][v];
       if (is_attention) {
-        EXPECT_TRUE(gu->Contains(level, v));
-        const AttentionNode& a = gu->attention_nodes()[id];
+        EXPECT_TRUE(gu.Contains(level, v));
+        const AttentionNode& a = gu.attention_nodes()[id];
         EXPECT_EQ(a.node, v);
         EXPECT_EQ(a.level, level);
         EXPECT_NEAR(a.hitting_prob, exact[level][v], 1e-12);
@@ -111,7 +115,7 @@ TEST(SourcePushTest, AttentionNodesAreExactlyThoseAboveThreshold) {
   for (uint32_t level = 1; level <= 3; ++level) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       AttentionId id;
-      EXPECT_EQ(gu->Contains(level, v), gu->LookupAttention(level, v, &id))
+      EXPECT_EQ(gu.Contains(level, v), gu.LookupAttention(level, v, &id))
           << "level " << level << " node " << v;
     }
   }
@@ -124,10 +128,12 @@ TEST(SourcePushTest, AttentionIdsInLevelThenNodeOrder) {
   SimPushOptions options = FastOptions(0.01);
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(9);
-  auto gu = SourcePush(g, 5, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  ASSERT_GT(gu->num_attention(), 1u);
-  const auto& atts = gu->attention_nodes();
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 5, options, params, &rng, &workspace, &gu,
+                             nullptr).ok());
+  ASSERT_GT(gu.num_attention(), 1u);
+  const auto& atts = gu.attention_nodes();
   for (AttentionId id = 1; id < atts.size(); ++id) {
     const bool ordered =
         atts[id - 1].level < atts[id].level ||
@@ -136,8 +142,8 @@ TEST(SourcePushTest, AttentionIdsInLevelThenNodeOrder) {
     EXPECT_TRUE(ordered) << "id " << id;
   }
   size_t seen = 0;
-  for (uint32_t level = 0; level <= gu->max_level() + 1; ++level) {
-    for (AttentionId id : gu->AttentionOnLevel(level)) {
+  for (uint32_t level = 0; level <= gu.max_level() + 1; ++level) {
+    for (AttentionId id : gu.AttentionOnLevel(level)) {
       EXPECT_EQ(atts[id].level, level);
       ++seen;
     }
@@ -151,10 +157,12 @@ TEST(SourcePushTest, AttentionCountWithinLemma2Bound) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(3);
   SourcePushStats stats;
-  auto gu = SourcePush(g, 7, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  EXPECT_LE(gu->num_attention(), params.max_attention);
-  EXPECT_LE(gu->max_level(), params.l_star);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 7, options, params, &rng, &workspace, &gu,
+                             &stats).ok());
+  EXPECT_LE(gu.num_attention(), params.max_attention);
+  EXPECT_LE(gu.max_level(), params.l_star);
 }
 
 TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
@@ -165,17 +173,19 @@ TEST(SourcePushTest, LevelMassBoundedBySqrtCPower) {
   options.use_level_detection = false;
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(4);
-  auto gu = SourcePush(g, 11, options, params, &rng, nullptr);
-  ASSERT_TRUE(gu.ok());
-  auto exact = ExactHittingProbabilities(g, 11, gu->max_level(), params.sqrt_c);
-  for (uint32_t level = 0; level <= gu->max_level(); ++level) {
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 11, options, params, &rng, &workspace, &gu,
+                             nullptr).ok());
+  auto exact = ExactHittingProbabilities(g, 11, gu.max_level(), params.sqrt_c);
+  for (uint32_t level = 0; level <= gu.max_level(); ++level) {
     double mass = 0;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (gu->Contains(level, v)) mass += exact[level][v];
+      if (gu.Contains(level, v)) mass += exact[level][v];
     }
     double attention_mass = 0;
-    for (AttentionId id : gu->AttentionOnLevel(level)) {
-      attention_mass += gu->attention_nodes()[id].hitting_prob;
+    for (AttentionId id : gu.AttentionOnLevel(level)) {
+      attention_mass += gu.attention_nodes()[id].hitting_prob;
     }
     EXPECT_LE(mass, std::pow(params.sqrt_c, level) + 1e-9);
     EXPECT_LE(attention_mass, mass + 1e-9);
@@ -189,13 +199,15 @@ TEST(SourcePushTest, DanglingQueryNodeYieldsRootOnly) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(5);
   SourcePushStats stats;
-  auto gu = SourcePush(g, 0, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  EXPECT_EQ(gu->num_attention(), 0u);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(g, 0, options, params, &rng, &workspace, &gu,
+                             &stats).ok());
+  EXPECT_EQ(gu.num_attention(), 0u);
   EXPECT_EQ(stats.gu_node_occurrences, 0u);
-  EXPECT_TRUE(gu->Contains(0, 0));
+  EXPECT_TRUE(gu.Contains(0, 0));
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_FALSE(gu->Contains(1, v)) << "node " << v;
+    EXPECT_FALSE(gu.Contains(1, v)) << "node " << v;
   }
 }
 
@@ -204,7 +216,11 @@ TEST(SourcePushTest, RejectsOutOfRangeQuery) {
   SimPushOptions options = FastOptions();
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(6);
-  EXPECT_FALSE(SourcePush(g, 100, options, params, &rng, nullptr).ok());
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  EXPECT_FALSE(SourcePushInto(g, 100, options, params, &rng, &workspace, &gu,
+                              nullptr)
+                   .ok());
 }
 
 TEST(SourcePushTest, LevelDetectionNeverExceedsLStar) {
@@ -214,11 +230,13 @@ TEST(SourcePushTest, LevelDetectionNeverExceedsLStar) {
   for (NodeId u = 0; u < 10; ++u) {
     Rng rng(100 + u);
     SourcePushStats stats;
-    auto gu = SourcePush(g, u, options, params, &rng, &stats);
-    ASSERT_TRUE(gu.ok());
+    QueryWorkspace workspace;
+    SourceGraph gu;
+    ASSERT_TRUE(SourcePushInto(g, u, options, params, &rng, &workspace, &gu,
+                               &stats).ok());
     EXPECT_LE(stats.detected_level, params.l_star);
     EXPECT_GE(stats.detected_level, 1u);
-    EXPECT_EQ(stats.num_attention, gu->num_attention());
+    EXPECT_EQ(stats.num_attention, gu.num_attention());
   }
 }
 
@@ -233,19 +251,21 @@ TEST(SourcePushTest, CycleGraphKeepsFullMass) {
   const DerivedParams params = ComputeDerivedParams(options);
   Rng rng(7);
   SourcePushStats stats;
-  auto gu = SourcePush(*g, 0, options, params, &rng, &stats);
-  ASSERT_TRUE(gu.ok());
-  EXPECT_EQ(stats.gu_node_occurrences, gu->max_level());
-  ASSERT_EQ(gu->num_attention(), gu->max_level());
-  for (uint32_t level = 1; level <= gu->max_level(); ++level) {
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  ASSERT_TRUE(SourcePushInto(*g, 0, options, params, &rng, &workspace, &gu,
+                             &stats).ok());
+  EXPECT_EQ(stats.gu_node_occurrences, gu.max_level());
+  ASSERT_EQ(gu.num_attention(), gu.max_level());
+  for (uint32_t level = 1; level <= gu.max_level(); ++level) {
     const NodeId expected = (0 + 12 - (level % 12)) % 12;
     for (NodeId v = 0; v < 12; ++v) {
-      EXPECT_EQ(gu->Contains(level, v), v == expected)
+      EXPECT_EQ(gu.Contains(level, v), v == expected)
           << "level " << level << " node " << v;
     }
     AttentionId id;
-    ASSERT_TRUE(gu->LookupAttention(level, expected, &id));
-    EXPECT_NEAR(gu->attention_nodes()[id].hitting_prob,
+    ASSERT_TRUE(gu.LookupAttention(level, expected, &id));
+    EXPECT_NEAR(gu.attention_nodes()[id].hitting_prob,
                 std::pow(params.sqrt_c, level), 1e-12);
   }
 }

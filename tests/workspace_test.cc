@@ -1,15 +1,24 @@
 // Tests for the QueryWorkspace subsystem: epoch-array semantics, the
 // flat level tally, workspace reuse correctness across many queries on
-// one engine, and the zero-allocation steady state (this binary links
-// the counting operator new/delete from common/alloc_hook.cc).
+// one engine, the all-zero invariant of the push accumulators (also
+// after a cancelled push), and the zero-allocation steady state (this
+// binary links the counting operator new/delete from
+// common/alloc_hook.cc).
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/epoch_array.h"
 #include "common/memory.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "simpush/hitting.h"
+#include "simpush/last_meeting.h"
+#include "simpush/reverse_push.h"
 #include "simpush/simpush.h"
+#include "simpush/source_push.h"
 #include "simpush/workspace.h"
 #include "test_util.h"
 
@@ -120,6 +129,120 @@ TEST(WorkspaceReuseTest, QueryIntoMatchesQuery) {
       ASSERT_EQ(reused_result.scores[v], fresh_result->scores[v])
           << "query " << u << " node " << v;
     }
+  }
+}
+
+// The push stages' contract: dense_a/dense_b and the first-touch
+// masks are all zero between stages.
+bool PushScratchIsZero(const QueryWorkspace& workspace) {
+  auto all_zero = [](const auto& values) {
+    return std::all_of(values.begin(), values.end(),
+                       [](auto x) { return x == 0; });
+  };
+  return all_zero(workspace.dense_a) && all_zero(workspace.dense_b) &&
+         all_zero(workspace.touched_a) && all_zero(workspace.touched_b);
+}
+
+// A source whose G_u levels outgrow kCancelCheckStride, so a fired
+// token stops a push in the middle of a level.
+struct ZeroInvariantFixture {
+  Graph graph;
+  SimPushOptions options;
+  NodeId source = 0;
+
+  ZeroInvariantFixture() {
+    auto g = GenerateChungLu(3000, 30000, 2.2, 21);
+    EXPECT_TRUE(g.ok());
+    graph = std::move(g).value();
+    options.epsilon = 0.02;
+    options.walk_budget_cap = 5000;
+    options.use_level_detection = false;  // Push all L* levels.
+  }
+
+  // Runs the whole query on `workspace` and on a cold one; the scores
+  // must agree bit for bit and both workspaces end all zero.
+  void ExpectQueryMatchesColdWorkspace(QueryWorkspace* workspace) const {
+    const EngineCore core(graph, options);
+    SimPushResult warm_result;
+    ASSERT_TRUE(QueryRunner(core, workspace).QueryInto(source, &warm_result)
+                    .ok());
+    QueryWorkspace cold;
+    SimPushResult cold_result;
+    ASSERT_TRUE(QueryRunner(core, &cold).QueryInto(source, &cold_result).ok());
+    ASSERT_EQ(warm_result.scores.size(), cold_result.scores.size());
+    EXPECT_EQ(std::memcmp(warm_result.scores.data(),
+                          cold_result.scores.data(),
+                          warm_result.scores.size() * sizeof(double)),
+              0);
+    EXPECT_TRUE(PushScratchIsZero(*workspace));
+    EXPECT_TRUE(PushScratchIsZero(cold));
+  }
+};
+
+TEST(PushZeroInvariantTest, CancelledSourcePushRestoresZeros) {
+  ZeroInvariantFixture f;
+  const DerivedParams params = ComputeDerivedParams(f.options);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  Rng rng(1);
+  ASSERT_TRUE(SourcePushInto(f.graph, f.source, f.options, params, &rng,
+                             &workspace, &gu, nullptr)
+                  .ok());
+  size_t widest_level = 0;
+  for (uint32_t level = 1; level <= gu.max_level(); ++level) {
+    size_t members = 0;
+    for (NodeId v = 0; v < f.graph.num_nodes(); ++v) {
+      members += gu.Contains(level, v) ? 1 : 0;
+    }
+    widest_level = std::max(widest_level, members);
+  }
+  ASSERT_GT(widest_level, kCancelCheckStride);
+
+  CancelToken fired;
+  fired.Cancel();
+  const Status status = SourcePushInto(f.graph, f.source, f.options, params,
+                                       &rng, &workspace, &gu, nullptr,
+                                       &fired);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_TRUE(PushScratchIsZero(workspace));
+  f.ExpectQueryMatchesColdWorkspace(&workspace);
+}
+
+TEST(PushZeroInvariantTest, CancelledReversePushRestoresZeros) {
+  ZeroInvariantFixture f;
+  const DerivedParams params = ComputeDerivedParams(f.options);
+  // A G_u whose deepest level injects more residues than
+  // kCancelCheckStride, each far above the push threshold: the poll
+  // fires inside that level, after earlier residues filled level 2's
+  // accumulator.
+  SourceGraph gu;
+  gu.Reset(/*max_level=*/3, f.graph.num_nodes());
+  const NodeId injected = 2 * kCancelCheckStride;
+  for (NodeId v = 0; v < injected; ++v) gu.AddAttentionNode(v, 3, 0.5);
+  const std::vector<double> gamma(injected, 1.0);
+
+  CancelToken fired;
+  fired.Cancel();
+  QueryWorkspace workspace;
+  std::vector<double> scores(f.graph.num_nodes(), 0.0);
+  const Status status =
+      ReversePush(f.graph, gu, gamma, params.sqrt_c, params.eps_h,
+                  &workspace, &scores, nullptr, &fired);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_TRUE(PushScratchIsZero(workspace));
+  f.ExpectQueryMatchesColdWorkspace(&workspace);
+}
+
+TEST(PushZeroInvariantTest, EverySuccessfulQueryLeavesZeros) {
+  ZeroInvariantFixture f;
+  f.options.use_level_detection = true;
+  const EngineCore core(f.graph, f.options);
+  QueryWorkspace workspace;
+  QueryRunner runner(core, &workspace);
+  SimPushResult result;
+  for (NodeId u = 0; u < f.graph.num_nodes(); u += 97) {
+    ASSERT_TRUE(runner.QueryInto(u, &result).ok()) << "query " << u;
+    ASSERT_TRUE(PushScratchIsZero(workspace)) << "after query " << u;
   }
 }
 
