@@ -36,8 +36,10 @@ double TimeSeparateReversePush(const Graph& graph, NodeId u, double eps,
            .ok()) {
     return -1;
   }
-  HittingTable table = ComputeHittingTable(graph, gu, params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(gu, table);
+  HittingTable table;
+  ComputeHittingTable(graph, gu, params.sqrt_c, &workspace, &table);
+  std::vector<double> gamma;
+  ComputeLastMeetingProbabilities(gu, table, &workspace, &gamma);
 
   Timer timer;
   std::vector<double> scores(graph.num_nodes(), 0.0);

@@ -76,22 +76,39 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   if (accum.size() < num_attention) accum.resize(num_attention, 0.0);
   const size_t words = (num_attention + 63) / 64;
   std::vector<uint64_t>& bits = workspace->scratch_bits;
-  bits.assign(words, 0);  // Clean even after a cancelled predecessor.
-  // Epoch-stamped per-node scratch over graph nodes, one epoch per
-  // level:
+  if (bits.size() < words) bits.resize(words, 0);
+  // Per-node scratch over graph nodes, all zero between stages like the
+  // push accumulators; each level restores the zeros it wrote:
   //   holder_span — maps a node of level+1 holding a nonzero vector to
   //                 its packed pool-span bounds (begin << 32 | end), so
   //                 a pull reads the holder's entries after ONE random
   //                 access (no NodeSpan chase, no hashing);
-  //   receiver_marks — current-level nodes already queued for a pull.
+  //   marks       — Reverse-Push's first-touch mask touched_a (idle
+  //                 until that stage), here deduplicating the current
+  //                 level's receivers.
   // Membership of the current level is G_u's own bitmask (O(1)
   // Contains). Receivers are discovered by scanning the holders'
   // out-edges, so a level's cost is Σ outdeg(holders) + Σ
   // indeg(receivers) instead of an O(|G_u level|) sweep — holders
   // cluster near the attention set.
-  EpochArray<uint64_t>& holder_span = workspace->holder_span;
-  EpochArray<uint8_t>& receiver_marks = workspace->receiver_marks;
+  uint64_t* holder_span = workspace->holder_span.data();
+  uint64_t* marks = workspace->touched_a.data();
   std::vector<NodeId>& receivers = workspace->receivers;
+  // Restores holder_span's zeros over one level's holders.
+  auto clear_holders = [holder_span](const HittingTable::LevelVectors& above) {
+    for (const HittingTable::NodeSpan& holder : above.nodes) {
+      holder_span[holder.node] = 0;
+    }
+  };
+  // Queues v as a receiver unless it already is (test-and-set).
+  auto mark_receiver = [&](NodeId v) {
+    uint64_t& word = marks[v >> 6];
+    const uint64_t bit = uint64_t{1} << (v & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
+      receivers.push_back(v);
+    }
+  };
 
   // Self entries at the deepest level: h̃^(0)(w, w) = 1 for attention w
   // at levels 2..L (level-1 attention nodes are never ρ-targets).
@@ -112,13 +129,11 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
   for (uint32_t level = max_level - 1; level >= 1; --level) {
     const HittingTable::LevelVectors& above = table->per_level_[level + 1];
     HittingTable::LevelVectors& here = table->per_level_[level];
-    holder_span.BeginEpoch();
-    receiver_marks.BeginEpoch();
     for (const HittingTable::NodeSpan& holder : above.nodes) {
       // end > begin for every stored span, so a packed value is never 0
-      // and Get() == 0 cleanly reads as "not a holder".
-      holder_span.Set(holder.node, (static_cast<uint64_t>(holder.begin) << 32) |
-                                       holder.end);
+      // and 0 cleanly reads as "not a holder".
+      holder_span[holder.node] =
+          (static_cast<uint64_t>(holder.begin) << 32) | holder.end;
     }
     // Receivers: current-level nodes with at least one holder
     // in-neighbor, found via the holders' out-edges; plus this level's
@@ -127,21 +142,17 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
     receivers.clear();
     for (const HittingTable::NodeSpan& holder : above.nodes) {
       for (NodeId v : graph.OutNeighbors(holder.node)) {
-        if (gu.Contains(level, v) && !receiver_marks.IsSet(v)) {
-          receiver_marks.Set(v, 1);
-          receivers.push_back(v);
-        }
+        if (gu.Contains(level, v)) mark_receiver(v);
       }
     }
     if (level >= 2) {
       for (AttentionId id : gu.AttentionOnLevel(level)) {
-        const NodeId node = gu.attention_nodes()[id].node;
-        if (!receiver_marks.IsSet(node)) {
-          receiver_marks.Set(node, 1);
-          receivers.push_back(node);
-        }
+        mark_receiver(gu.attention_nodes()[id].node);
       }
     }
+    // The marks have done their job; restore their zeros now, so only
+    // holder_span is live across the pulls.
+    for (NodeId v : receivers) marks[v >> 6] = 0;
     // Pull in ascending node order: the receivers' in-CSR rows are then
     // streamed sequentially (instead of hopping with discovery order),
     // and the spans appended to here.nodes come out already sorted —
@@ -153,7 +164,10 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
       // left partial — the caller re-checks the token and discards it.
       if (++since_poll >= kCancelCheckStride) {
         since_poll = 0;
-        if (ShouldStop(cancel)) return;
+        if (ShouldStop(cancel)) {
+          clear_holders(above);
+          return;
+        }
       }
       const uint32_t deg = graph.InDegree(v);
       size_t wlo = words, whi = 0;
@@ -175,10 +189,13 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
         const size_t n_in = in.size();
         for (size_t i = 0; i < n_in; ++i) {
           if (i + kSpanLookahead < n_in) {
-            holder_span.Prefetch(in[i + kSpanLookahead]);
+#if defined(__GNUC__) || defined(__clang__)
+            __builtin_prefetch(&holder_span[in[i + kSpanLookahead]],
+                               /*rw=*/0, /*locality=*/1);
+#endif
           }
           if (i + kPoolLookahead < n_in) {
-            const uint64_t ahead = holder_span.Get(in[i + kPoolLookahead]);
+            const uint64_t ahead = holder_span[in[i + kPoolLookahead]];
 #if defined(__GNUC__) || defined(__clang__)
             if (ahead != 0) {
               __builtin_prefetch(&above.pool[ahead >> 32], /*rw=*/0,
@@ -186,7 +203,7 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
             }
 #endif
           }
-          const uint64_t packed = holder_span.Get(in[i]);
+          const uint64_t packed = holder_span[in[i]];
           if (packed == 0) continue;
           const uint32_t end = static_cast<uint32_t>(packed);
           for (uint32_t e = static_cast<uint32_t>(packed >> 32); e < end; ++e) {
@@ -230,17 +247,9 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
     }
     // here.nodes is sorted by construction: receivers were processed in
     // ascending node order, so VectorAt's binary search needs no sort.
+    clear_holders(above);
     if (level == 1) break;  // uint32_t wrap guard.
   }
-}
-
-HittingTable ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                                 double sqrt_c) {
-  QueryWorkspace workspace;
-  HittingTable table;
-  ComputeHittingTable(graph, gu, sqrt_c, &workspace, &table,
-                      /*cancel=*/nullptr);
-  return table;
 }
 
 }  // namespace simpush

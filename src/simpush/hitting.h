@@ -76,7 +76,11 @@ class HittingTable {
 };
 
 /// Runs Algorithm 3 over G_u into `table`, using `workspace` for dense
-/// scratch. O(m·log(1/ε)/ε) worst case (Lemma 6).
+/// scratch. O(m·log(1/ε)/ε) worst case (Lemma 6). Allocation-free once
+/// the workspace is warm. The per-node scratch (holder_span, touched_a)
+/// and the attention-id scratch (attention_accum, scratch_bits) must be
+/// all zero on entry, and are again on every return, a cancelled one
+/// included.
 ///
 /// `cancel`, when non-null, is polled every kCancelCheckStride pulls;
 /// a fired token returns early with the table only partially built —
@@ -87,11 +91,6 @@ void ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
                          double sqrt_c, QueryWorkspace* workspace,
                          HittingTable* table,
                          const CancelToken* cancel = nullptr);
-
-/// Convenience overload for tests and one-shot callers: allocates its
-/// own scratch and returns the table by value.
-HittingTable ComputeHittingTable(const Graph& graph, const SourceGraph& gu,
-                                 double sqrt_c);
 
 }  // namespace simpush
 

@@ -81,12 +81,4 @@ void ComputeLastMeetingProbabilities(const SourceGraph& gu,
   }
 }
 
-std::vector<double> ComputeLastMeetingProbabilities(
-    const SourceGraph& gu, const HittingTable& hitting) {
-  QueryWorkspace workspace;
-  std::vector<double> gamma;
-  ComputeLastMeetingProbabilities(gu, hitting, &workspace, &gamma);
-  return gamma;
-}
-
 }  // namespace simpush

@@ -30,14 +30,17 @@ StatusOr<SinglePairSession> SinglePairSession::Create(
   // Stages 1-2 of Algorithm 1: attention discovery + γ correction.
   SourcePushStats sp_stats;
   Rng source_rng = session.rng_.Fork();
+  // One workspace serves every stage, as in a full query.
   QueryWorkspace workspace;
   SourceGraph gu;
   SIMPUSH_RETURN_NOT_OK(SourcePushInto(graph, u, options, params, &source_rng,
                                        &workspace, &gu, &sp_stats));
   std::vector<double> gamma(gu.num_attention(), 1.0);
   if (options.use_gamma_correction) {
-    HittingTable hitting = ComputeHittingTable(graph, gu, params.sqrt_c);
-    gamma = ComputeLastMeetingProbabilities(gu, hitting);
+    ComputeHittingTable(graph, gu, params.sqrt_c, &workspace,
+                        &workspace.hitting_table);
+    ComputeLastMeetingProbabilities(gu, workspace.hitting_table, &workspace,
+                                    &gamma);
   }
 
   session.max_level_ = gu.max_level();

@@ -66,11 +66,10 @@ void QueryWorkspace::Prepare(NodeId num_nodes) {
     const size_t words = (static_cast<size_t>(num_nodes) + 63) / 64;
     touched_a.resize(words, 0);
     touched_b.resize(words, 0);
+    holder_span.resize(num_nodes, 0);
   }
   frontier_a.clear();
   frontier_b.clear();
-  holder_span.Resize(num_nodes);
-  receiver_marks.Resize(num_nodes);
 }
 
 }  // namespace simpush

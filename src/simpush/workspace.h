@@ -10,7 +10,8 @@
 //                            dense_b holds), source_graph (the G_u
 //                            being built: level membership bits +
 //                            attention occurrences).
-//   Hitting (Alg. 3)       — holder_span/receiver_marks, receivers,
+//   Hitting (Alg. 3)       — holder_span, touched_a (receiver
+//                            dedup; idle until Reverse-Push), receivers,
 //                            attention_accum/scratch_bits,
 //                            hitting_table; membership is read from
 //                            source_graph.
@@ -19,11 +20,12 @@
 //                            again (the stages are sequential), plus
 //                            touched_a/touched_b (first-touch masks).
 //
-// All buffers grow to a high-water mark and are cleared per query by
-// epoch bumps or O(touched) clears — never O(n) sweeps. The push
-// accumulators carry no stamps: they are all zero between stages, and
-// each push stage restores the zeros over what it touched before it
-// returns, a cancelled return included.
+// All buffers grow to a high-water mark and follow one rule: the dense
+// scratch arrays are all zero between stages, and each stage restores
+// the zeros over what it touched before it returns, a cancelled return
+// included — never an O(n) sweep per query. The only stamped structure
+// left is level_tally, an open-addressing table whose epoch-stamped
+// slots make a new round O(1) without a key list.
 
 #ifndef SIMPUSH_SIMPUSH_WORKSPACE_H_
 #define SIMPUSH_SIMPUSH_WORKSPACE_H_
@@ -32,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/epoch_array.h"
 #include "graph/graph.h"
 #include "simpush/hitting.h"
 #include "simpush/source_graph.h"
@@ -91,7 +92,8 @@ struct GammaScratch {
 class QueryWorkspace {
  public:
   /// Readies the workspace for one query on an n-node graph: grows the
-  /// dense arrays to n (no-op after the first query). O(1) once warm.
+  /// per-node arrays to n, zero-filled (no-op after the first query).
+  /// O(1) once warm.
   void Prepare(NodeId num_nodes);
 
   // --- Dense per-node value scratch, shared by Source-Push (levels) and
@@ -104,7 +106,8 @@ class QueryWorkspace {
   std::vector<NodeId> frontier_a;
   std::vector<NodeId> frontier_b;
   // Reverse-Push's first-touch bitmasks over dense_a/dense_b, one bit
-  // per node (⌈n/64⌉ words); all zero between stages.
+  // per node (⌈n/64⌉ words); all zero between stages. The hitting stage
+  // borrows touched_a to deduplicate a level's receivers.
   std::vector<uint64_t> touched_a;
   std::vector<uint64_t> touched_b;
 
@@ -113,17 +116,15 @@ class QueryWorkspace {
 
   // --- Hitting-table construction. holder_span maps a node of level
   // ℓ+1 holding a nonzero vector to its packed pool-span bounds
-  // (begin << 32 | end) — the pull loop reads the span in ONE random
-  // access instead of index-then-NodeSpan chasing; receiver marks
-  // track the current level's queued pulls.
-  EpochArray<uint64_t> holder_span;
-  EpochArray<uint8_t> receiver_marks;
+  // (begin << 32 | end), so the pull loop reads the span in ONE random
+  // access instead of index-then-NodeSpan chasing; all zero between
+  // stages (0 reads as "not a holder").
+  std::vector<uint64_t> holder_span;
   std::vector<NodeId> receivers;
   std::vector<double> attention_accum;    // Zero-restored after each use.
 
   // --- Touched-set bitmask of the hitting pull merge, indexed by
-  // attention id; re-zeroed on entry (assign() reuses capacity, so
-  // steady state stays allocation-free). The merge ORs into it
+  // attention id; all zero between stages. The merge ORs into it
   // unconditionally — no per-write branch — and the emit scan walks
   // set bits in id order, which both restores the zeros and yields
   // sorted output without a sort.

@@ -18,11 +18,12 @@ struct Fixture {
   Graph graph;
   SourceGraph gu;
   DerivedParams params;
+  HittingTable table;
 };
 
 Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
                     uint64_t seed = 1) {
-  Fixture f{graph, {}, {}};
+  Fixture f{graph, {}, {}, {}};
   SimPushOptions options;
   options.epsilon = eps;
   options.walk_budget_cap = 20000;
@@ -32,6 +33,7 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   QueryWorkspace workspace;
   EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
                              &f.gu, nullptr).ok());
+  ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c, &workspace, &f.table);
   return f;
 }
 
@@ -72,7 +74,7 @@ double BruteForceHitting(const Graph& graph, const SourceGraph& gu,
 TEST(HittingTest, MatchesBruteForceOnFixtureGraph) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   for (AttentionId source = 0; source < f.gu.num_attention(); ++source) {
     const AttentionNode& w = f.gu.attention_nodes()[source];
     for (AttentionId target = 0; target < f.gu.num_attention(); ++target) {
@@ -91,7 +93,7 @@ TEST(HittingTest, MatchesBruteForceOnRandomGraphs) {
   for (uint64_t seed : {51u, 52u, 53u}) {
     Graph g = testing_util::RandomGraph(80, 500, seed);
     Fixture f = MakeFixture(g, static_cast<NodeId>(seed % 80), 0.05, seed);
-    HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+    const HittingTable& table = f.table;
     for (AttentionId source = 0; source < f.gu.num_attention(); ++source) {
       const AttentionNode& w = f.gu.attention_nodes()[source];
       for (AttentionId target = 0; target < f.gu.num_attention(); ++target) {
@@ -109,7 +111,7 @@ TEST(HittingTest, MatchesBruteForceOnRandomGraphs) {
 TEST(HittingTest, SelfEntriesPresentForDeepAttention) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
     const AttentionNode& w = f.gu.attention_nodes()[id];
     if (w.level >= 2) {
@@ -121,7 +123,7 @@ TEST(HittingTest, SelfEntriesPresentForDeepAttention) {
 TEST(HittingTest, VectorsSortedById) {
   Graph g = testing_util::RandomGraph(60, 400, 61);
   Fixture f = MakeFixture(g, 3, 0.05, 61);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   for (uint32_t level = 1; level <= f.gu.max_level(); ++level) {
     for (NodeId node = 0; node < g.num_nodes(); ++node) {
       if (!f.gu.Contains(level, node)) continue;
@@ -152,7 +154,8 @@ TEST(HittingTest, EmptyWhenMaxLevelBelowTwo) {
   ASSERT_TRUE(SourcePushInto(*star, 0, options, params, &rng, &workspace, &gu,
                              nullptr).ok());
   if (gu.max_level() < 2) {
-    HittingTable table = ComputeHittingTable(*star, gu, params.sqrt_c);
+    HittingTable table;
+    ComputeHittingTable(*star, gu, params.sqrt_c, &workspace, &table);
     EXPECT_EQ(table.NumVectors(), 0u);
     EXPECT_EQ(table.NumEntries(), 0u);
   }
@@ -168,7 +171,7 @@ TEST(HittingTest, DanglingAttentionNodeStillExportsSelfEntry) {
       5, {{4, 3}, {3, 2}, {2, 1}, {1, 0}});
   Fixture f = MakeFixture(g, 0, 0.05);
   ASSERT_GE(f.gu.max_level(), 4u);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   AttentionId deep_id;
   ASSERT_TRUE(f.gu.LookupAttention(4, 4, &deep_id));
   // Node 3 at level 3 must see node 4's self entry one step away.
@@ -180,7 +183,7 @@ TEST(HittingTest, DanglingAttentionNodeStillExportsSelfEntry) {
 TEST(HittingTest, ProbabilityLookupMissingReturnsZero) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
+  const HittingTable& table = f.table;
   EXPECT_EQ(table.Probability(99, 0, 0), 0.0);
 }
 

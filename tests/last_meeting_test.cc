@@ -21,11 +21,13 @@ struct Fixture {
   Graph graph;
   SourceGraph gu;
   DerivedParams params;
+  HittingTable table;
+  std::vector<double> gamma;
 };
 
 Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
                     uint64_t seed = 1) {
-  Fixture f{graph, {}, {}};
+  Fixture f{graph, {}, {}, {}, {}};
   SimPushOptions options;
   options.epsilon = eps;
   options.use_level_detection = false;
@@ -34,6 +36,8 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   QueryWorkspace workspace;
   EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
                              &f.gu, nullptr).ok());
+  ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c, &workspace, &f.table);
+  ComputeLastMeetingProbabilities(f.gu, f.table, &workspace, &f.gamma);
   return f;
 }
 
@@ -81,8 +85,7 @@ double McGamma(const Graph& graph, const SourceGraph& gu, uint32_t level,
 TEST(LastMeetingTest, GammaInUnitInterval) {
   Graph g = testing_util::RandomGraph(150, 1000, 71);
   Fixture f = MakeFixture(g, 5, 0.02, 71);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   ASSERT_EQ(gamma.size(), f.gu.num_attention());
   for (double value : gamma) {
     EXPECT_GE(value, 0.0);
@@ -95,8 +98,7 @@ TEST(LastMeetingTest, DeepestLevelGammaIsOne) {
   // γ^(L)(w) = 1 by Definition 4.
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
     if (f.gu.attention_nodes()[id].level == f.gu.max_level()) {
       EXPECT_DOUBLE_EQ(gamma[id], 1.0);
@@ -107,8 +109,7 @@ TEST(LastMeetingTest, DeepestLevelGammaIsOne) {
 TEST(LastMeetingTest, MatchesMonteCarloOnFixture) {
   Graph g = testing_util::MakeFixtureGraph();
   Fixture f = MakeFixture(g, 0, 0.02);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   Rng rng(99);
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
     const AttentionNode& w = f.gu.attention_nodes()[id];
@@ -123,8 +124,7 @@ TEST(LastMeetingTest, MatchesMonteCarloOnRandomGraphs) {
   for (uint64_t seed : {81u, 82u}) {
     Graph g = testing_util::RandomGraph(60, 420, seed);
     Fixture f = MakeFixture(g, static_cast<NodeId>(seed % 60), 0.05, seed);
-    HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-    auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+    const std::vector<double>& gamma = f.gamma;
     Rng rng(seed * 7);
     // Spot-check the first few attention occurrences to keep runtime low.
     const size_t check = std::min<size_t>(f.gu.num_attention(), 6);
@@ -142,18 +142,15 @@ TEST(LastMeetingTest, MatchesMonteCarloOnRandomGraphs) {
 TEST(LastMeetingTest, SingleGammaMatchesBatch) {
   Graph g = testing_util::RandomGraph(100, 700, 91);
   Fixture f = MakeFixture(g, 9, 0.05, 91);
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto batch = ComputeLastMeetingProbabilities(f.gu, table);
   for (AttentionId id = 0; id < f.gu.num_attention(); ++id) {
-    EXPECT_DOUBLE_EQ(batch[id], ComputeGammaFor(f.gu, table, id));
+    EXPECT_DOUBLE_EQ(f.gamma[id], ComputeGammaFor(f.gu, f.table, id));
   }
 }
 
 TEST(LastMeetingTest, NoAttentionNodesYieldsEmpty) {
   Graph g = testing_util::MakeGraph(3, {{0, 1}, {1, 2}});
   Fixture f = MakeFixture(g, 0, 0.05);  // Query node 0 has no in-edges.
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  auto gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  const std::vector<double>& gamma = f.gamma;
   EXPECT_TRUE(gamma.empty());
 }
 

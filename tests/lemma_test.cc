@@ -158,10 +158,12 @@ TEST(Definition4Test, GammaMatchesMonteCarloSemantics) {
   SourceRun run = RunSourcePush(*graph, 3, 0.02);
   if (run.gu.num_attention() == 0) GTEST_SKIP() << "no attention nodes";
 
-  HittingTable hitting =
-      ComputeHittingTable(*graph, run.gu, run.params.sqrt_c);
-  const std::vector<double> gamma =
-      ComputeLastMeetingProbabilities(run.gu, hitting);
+  QueryWorkspace workspace;
+  HittingTable hitting;
+  ComputeHittingTable(*graph, run.gu, run.params.sqrt_c, &workspace,
+                      &hitting);
+  std::vector<double> gamma;
+  ComputeLastMeetingProbabilities(run.gu, hitting, &workspace, &gamma);
 
   Rng rng(4242);
   const uint64_t kTrials = 40000;
@@ -188,10 +190,12 @@ TEST(Definition4Test, TerminalLevelGammaIsOne) {
   ASSERT_TRUE(graph.ok());
   SourceRun run = RunSourcePush(*graph, 5, 0.05);
   if (run.gu.num_attention() == 0) GTEST_SKIP();
-  HittingTable hitting =
-      ComputeHittingTable(*graph, run.gu, run.params.sqrt_c);
-  const std::vector<double> gamma =
-      ComputeLastMeetingProbabilities(run.gu, hitting);
+  QueryWorkspace workspace;
+  HittingTable hitting;
+  ComputeHittingTable(*graph, run.gu, run.params.sqrt_c, &workspace,
+                      &hitting);
+  std::vector<double> gamma;
+  ComputeLastMeetingProbabilities(run.gu, hitting, &workspace, &gamma);
   for (AttentionId id = 0; id < run.gu.num_attention(); ++id) {
     const AttentionNode& w = run.gu.attention_nodes()[id];
     if (w.level == run.gu.max_level()) {

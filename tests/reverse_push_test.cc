@@ -33,8 +33,10 @@ Fixture MakeFixture(const Graph& graph, NodeId u, double eps,
   QueryWorkspace workspace;
   EXPECT_TRUE(SourcePushInto(f.graph, u, options, f.params, &rng, &workspace,
                              &f.gu, nullptr).ok());
-  HittingTable table = ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c);
-  f.gamma = ComputeLastMeetingProbabilities(f.gu, table);
+  ComputeHittingTable(f.graph, f.gu, f.params.sqrt_c, &workspace,
+                      &workspace.hitting_table);
+  ComputeLastMeetingProbabilities(f.gu, workspace.hitting_table, &workspace,
+                                  &f.gamma);
   return f;
 }
 

@@ -1,8 +1,8 @@
-// Tests for the QueryWorkspace subsystem: epoch-array semantics, the
-// flat level tally, workspace reuse correctness across many queries on
-// one engine, the all-zero invariant of the push accumulators (also
-// after a cancelled push), and the zero-allocation steady state (this
-// binary links the counting operator new/delete from
+// Tests for the QueryWorkspace subsystem: the flat level tally,
+// workspace reuse correctness across many queries on one engine, the
+// all-zero invariant of the stages' dense scratch (also after a
+// cancelled push or hitting stage), and the zero-allocation steady
+// state (this binary links the counting operator new/delete from
 // common/alloc_hook.cc).
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/deadline.h"
-#include "common/epoch_array.h"
 #include "common/memory.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -24,45 +23,6 @@
 
 namespace simpush {
 namespace {
-
-TEST(EpochArrayTest, NewEpochClearsLogically) {
-  EpochArray<double> array;
-  array.Resize(8);
-  array.BeginEpoch();
-  EXPECT_FALSE(array.IsSet(3));
-  EXPECT_EQ(array.Get(3), 0.0);
-  array.Set(3, 2.5);
-  EXPECT_TRUE(array.IsSet(3));
-  EXPECT_EQ(array.Get(3), 2.5);
-  array.BeginEpoch();
-  EXPECT_FALSE(array.IsSet(3));
-  EXPECT_EQ(array.Get(3), 0.0);
-}
-
-TEST(EpochArrayTest, RefInitializesStaleSlot) {
-  EpochArray<double> array;
-  array.Resize(4);
-  array.BeginEpoch();
-  array.Set(1, 9.0);
-  array.BeginEpoch();
-  array.Ref(1) += 2.0;  // Stale 9.0 must not leak through.
-  EXPECT_EQ(array.Get(1), 2.0);
-  array.Ref(1) += 3.0;
-  EXPECT_EQ(array.Get(1), 5.0);
-}
-
-TEST(EpochArrayTest, ResizePreservesAndGrows) {
-  EpochArray<uint32_t> array;
-  array.Resize(2);
-  array.BeginEpoch();
-  array.Set(1, 7);
-  array.Resize(16);
-  EXPECT_TRUE(array.IsSet(1));
-  EXPECT_EQ(array.Get(1), 7u);
-  EXPECT_FALSE(array.IsSet(10));
-  array.Resize(4);  // Never shrinks.
-  EXPECT_EQ(array.size(), 16u);
-}
 
 TEST(LevelNodeTallyTest, CountsAndRoundsAreIsolated) {
   LevelNodeTally tally;
@@ -132,15 +92,18 @@ TEST(WorkspaceReuseTest, QueryIntoMatchesQuery) {
   }
 }
 
-// The push stages' contract: dense_a/dense_b and the first-touch
-// masks are all zero between stages.
+// The stages' contract: dense_a/dense_b, the first-touch masks and
+// the hitting scratch are all zero between stages.
 bool PushScratchIsZero(const QueryWorkspace& workspace) {
   auto all_zero = [](const auto& values) {
     return std::all_of(values.begin(), values.end(),
                        [](auto x) { return x == 0; });
   };
   return all_zero(workspace.dense_a) && all_zero(workspace.dense_b) &&
-         all_zero(workspace.touched_a) && all_zero(workspace.touched_b);
+         all_zero(workspace.touched_a) && all_zero(workspace.touched_b) &&
+         all_zero(workspace.holder_span) &&
+         all_zero(workspace.scratch_bits) &&
+         all_zero(workspace.attention_accum);
 }
 
 // A source whose G_u levels outgrow kCancelCheckStride, so a fired
@@ -229,6 +192,35 @@ TEST(PushZeroInvariantTest, CancelledReversePushRestoresZeros) {
       ReversePush(f.graph, gu, gamma, params.sqrt_c, params.eps_h,
                   &workspace, &scores, nullptr, &fired);
   EXPECT_EQ(status.code(), StatusCode::kCancelled);
+  EXPECT_TRUE(PushScratchIsZero(workspace));
+  f.ExpectQueryMatchesColdWorkspace(&workspace);
+}
+
+TEST(PushZeroInvariantTest, CancelledHittingRestoresZeros) {
+  ZeroInvariantFixture f;
+  const DerivedParams params = ComputeDerivedParams(f.options);
+  QueryWorkspace workspace;
+  SourceGraph gu;
+  Rng rng(1);
+  ASSERT_TRUE(SourcePushInto(f.graph, f.source, f.options, params, &rng,
+                             &workspace, &gu, nullptr)
+                  .ok());
+  HittingTable full;
+  ComputeHittingTable(f.graph, gu, params.sqrt_c, &workspace, &full);
+  // Every vector above the deepest level was emitted by a distinct
+  // receiver, so this bounds the receivers from below: the poll fires
+  // in the middle of the pulls.
+  const size_t receivers =
+      full.NumVectors() - gu.AttentionOnLevel(gu.max_level()).size();
+  ASSERT_GT(receivers, kCancelCheckStride);
+  ASSERT_TRUE(PushScratchIsZero(workspace));
+
+  CancelToken fired;
+  fired.Cancel();
+  HittingTable partial;
+  ComputeHittingTable(f.graph, gu, params.sqrt_c, &workspace, &partial,
+                      &fired);
+  EXPECT_LT(partial.NumEntries(), full.NumEntries());
   EXPECT_TRUE(PushScratchIsZero(workspace));
   f.ExpectQueryMatchesColdWorkspace(&workspace);
 }

@@ -24,6 +24,13 @@ R2 zero-alloc-hot-path
     join fan-out layer is deliberately NOT in this set — std::function
     is its API.
 
+    The per-query stage files (source_push, hitting, last_meeting,
+    reverse_push .cc) take their scratch from the caller's
+    QueryWorkspace and construct none: a stage that builds its own
+    workspace zero-fills O(n) per call, the cost the workspace exists to
+    avoid. Any mention of QueryWorkspace there other than a pointer,
+    reference or forward declaration is a construction.
+
 R3 failpoint-coverage
     Every SIMPUSH_FAILPOINT / FailpointRegistry::Register name in src/
     must appear in chaos_test's AllInstrumentedFailpointsFired list (a
@@ -112,6 +119,16 @@ HOT_PATH_STEMS = [
     "src/simpush/adaptive",
 ]
 HOT_BANNED = re.compile(r"std::unordered_map|std::function")
+# R2: stage files that must not construct a QueryWorkspace.
+STAGE_FILES = {
+    "src/simpush/source_push.cc",
+    "src/simpush/hitting.cc",
+    "src/simpush/last_meeting.cc",
+    "src/simpush/reverse_push.cc",
+}
+WORKSPACE_CONSTRUCTED = re.compile(
+    r"(?<!class )\bQueryWorkspace\b(?!\s*(?:[*&]|::))"
+)
 
 FAILPOINT_NAME = re.compile(
     r'SIMPUSH_FAILPOINT\("([^"]+)"\)|Register\("([^"]+)"\)'
@@ -223,6 +240,14 @@ class Linter:
                         path, lineno, "zero-alloc-hot-path",
                         "std::unordered_map/std::function allocate on the "
                         "query hot path (allocs/query must stay 0)",
+                    )
+        if rel in STAGE_FILES:
+            for lineno, line in enumerate(code_lines, 1):
+                if WORKSPACE_CONSTRUCTED.search(line):
+                    self.report(
+                        path, lineno, "zero-alloc-hot-path",
+                        "a stage must run on the caller's QueryWorkspace; "
+                        "constructing one zero-fills O(n) per call",
                     )
 
         # R3 (collection) — failpoint names live in string literals, so
